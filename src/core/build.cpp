@@ -460,12 +460,8 @@ NodeId PimKdTree::rebuild_subtree(NodeId old_subtree,
   detach_subtree_from_parent_comp(old_subtree);
 
   std::vector<PointId> pts = std::move(extra);
-  {
-    const std::uint64_t c0 = sys_.metrics().snapshot().communication;
-    collect_subtree_points(old_subtree, pts, /*charge=*/true);
-    op_stats_.words_rebuild_collect +=
-        sys_.metrics().snapshot().communication - c0;
-  }
+  op_stats_.words_rebuild_collect +=
+      collect_subtree_points(old_subtree, pts, /*charge=*/true);
   if (drop_dead)
     std::erase_if(pts, [&](PointId id) { return !alive_[id]; });
   demolish_subtree_storage(old_subtree);
@@ -540,15 +536,7 @@ std::vector<NodeId> PimKdTree::component_members(NodeId comp_root) const {
 
 void PimKdTree::materialize_component(NodeId comp_root) {
   assert(sys_.metrics().in_round());
-  const std::uint64_t comm0 = sys_.metrics().snapshot().communication;
-  struct Tally {
-    PimKdTree* t;
-    std::uint64_t c0;
-    ~Tally() {
-      t->op_stats_.words_materialize +=
-          t->sys_.metrics().snapshot().communication - c0;
-    }
-  } tally{this, comm0};
+  std::uint64_t& words = op_stats_.words_materialize;  // what this ships
   NodeRec& root_rec = pool_.at(comp_root);
   const int group = root_rec.group;
   const std::size_t P = sys_.P();
@@ -566,11 +554,11 @@ void PimKdTree::materialize_component(NodeId comp_root) {
       root_rec.comp_finished = false;
       unfinished_.push_back(comp_root);
       for (const NodeId m : members)
-        store_.add_copy(m, store_.master_of(m));
+        words += store_.add_copy(m, store_.master_of(m));
       const std::size_t finish_at =
           cfg_.delayed_finish_multiplier * P *
           static_cast<std::size_t>(log2c(double(P)));
-      if (unfinished_.size() > finish_at) finish_delayed_components();
+      if (unfinished_.size() > finish_at) words += finish_delayed_components();
       return;
     }
   }
@@ -578,13 +566,13 @@ void PimKdTree::materialize_component(NodeId comp_root) {
   if (g0_replicated) {
     const auto members = component_members(comp_root);
     for (const NodeId m : members)
-      for (std::size_t mod = 0; mod < P; ++mod) store_.add_copy(m, mod);
+      for (std::size_t mod = 0; mod < P; ++mod) words += store_.add_copy(m, mod);
     return;
   }
 
   for (const NodeId m : component_members(comp_root))
-    store_.add_copy(m, store_.master_of(m));
-  materialize_pair_caches(comp_root);
+    words += store_.add_copy(m, store_.master_of(m));
+  words += materialize_pair_caches(comp_root);
 }
 
 PimKdTree::CacheFlags PimKdTree::cache_flags(int group,
@@ -702,15 +690,16 @@ void PimKdTree::attach_subtree_to_parent_comp(NodeId subtree_root) {
   walk(walk, subtree_root);
 }
 
-void PimKdTree::materialize_pair_caches(NodeId comp_root) {
+std::uint64_t PimKdTree::materialize_pair_caches(NodeId comp_root) {
   const int group = pool_.at(comp_root).group;
   const auto [topdown, bottomup] = cache_flags(group);
-  if (!topdown && !bottomup) return;
+  if (!topdown && !bottomup) return 0;
+  std::uint64_t words = 0;
   std::vector<NodeId> anc_stack;
   auto walk = [&](auto&& self, NodeId nid) -> void {
     for (const NodeId a : anc_stack) {
-      if (topdown) store_.add_copy(nid, store_.master_of(a));
-      if (bottomup) store_.add_copy(a, store_.master_of(nid));
+      if (topdown) words += store_.add_copy(nid, store_.master_of(a));
+      if (bottomup) words += store_.add_copy(a, store_.master_of(nid));
     }
     const NodeRec& rec = pool_.at(nid);
     if (rec.is_leaf()) return;
@@ -720,21 +709,24 @@ void PimKdTree::materialize_pair_caches(NodeId comp_root) {
     anc_stack.pop_back();
   };
   walk(walk, comp_root);
+  return words;
 }
 
-void PimKdTree::finish_delayed_components() {
+std::uint64_t PimKdTree::finish_delayed_components() {
   const WriteGate gate(*this);  // wait out in-flight pinned read phases
   if (!unfinished_.empty()) ++mutation_epoch_;
   pim::TraceScope span(sys_.metrics(), "finish_delayed", unfinished_.size());
   pim::RoundGuard round(sys_.metrics());
+  std::uint64_t words = 0;
   for (const NodeId cr : unfinished_) {
     if (!pool_.contains(cr)) continue;  // destroyed by a rebuild meanwhile
     NodeRec& rec = pool_.at(cr);
     if (rec.comp_root != cr || rec.comp_finished) continue;
     rec.comp_finished = true;
-    materialize_pair_caches(cr);
+    words += materialize_pair_caches(cr);
   }
   unfinished_.clear();
+  return words;
 }
 
 void PimKdTree::demolish_component(NodeId comp_root) {
@@ -763,26 +755,27 @@ void PimKdTree::destroy_subtree_mirror(NodeId subtree) {
   pool_.destroy(subtree);
 }
 
-void PimKdTree::collect_subtree_points(NodeId subtree,
-                                       std::vector<PointId>& out,
-                                       bool charge) {
+std::uint64_t PimKdTree::collect_subtree_points(NodeId subtree,
+                                                std::vector<PointId>& out,
+                                                bool charge) {
   const NodeRec& rec = pool_.at(subtree);
   if (rec.is_leaf()) {
     const std::vector<PointId>& pts = pool_.cold(subtree).leaf_pts;
     out.insert(out.end(), pts.begin(), pts.end());
-    if (charge) {
-      const std::size_t m = store_.master_of(subtree);
-      const auto words =
-          static_cast<std::uint64_t>(pts.size()) * point_words(cfg_.dim);
-      if (sys_.module_alive(m))
-        sys_.metrics().add_comm(m, words);
-      else  // master down: the payload comes from the host mirror
-        sys_.metrics().add_cpu_work(words);
+    if (!charge) return 0;
+    const std::size_t m = store_.master_of(subtree);
+    const auto words =
+        static_cast<std::uint64_t>(pts.size()) * point_words(cfg_.dim);
+    if (!sys_.module_alive(m)) {
+      // Master down: the payload comes from the host mirror.
+      sys_.metrics().add_cpu_work(words);
+      return 0;
     }
-    return;
+    sys_.metrics().add_comm(m, words);
+    return words;
   }
-  collect_subtree_points(rec.left, out, charge);
-  collect_subtree_points(rec.right, out, charge);
+  const std::uint64_t left = collect_subtree_points(rec.left, out, charge);
+  return left + collect_subtree_points(rec.right, out, charge);
 }
 
 void PimKdTree::splice(NodeId parent, NodeId old_child, NodeId new_child) {

@@ -187,11 +187,11 @@ bool PimKdTree::check_node_invariants(NodeId nid, std::uint64_t& size_out) const
   bool master_seen = false;
   for (const std::uint32_t m : store_.copy_modules(nid)) {
     if (m == store_.master_of(nid)) master_seen = true;
-    const auto& st = sys_.module(m);
-    const auto it = st.nodes.find(nid);
-    if (it == st.nodes.end()) PIMKD_FAIL("copy missing on module");
-    if (it->second.counter != n.counter) PIMKD_FAIL("copy counter desync");
+    const Replica* copy = store_.present_copy(nid, m);
+    if (copy == nullptr) PIMKD_FAIL("copy missing on module");
+    if (copy->counter != n.counter) PIMKD_FAIL("copy counter desync");
     if (n.is_leaf()) {
+      const auto& st = sys_.module(m);
       const auto lp = st.leaf_points.find(nid);
       if (lp == st.leaf_points.end() || lp->second != pool_.cold(nid).leaf_pts)
         PIMKD_FAIL("leaf payload desync");

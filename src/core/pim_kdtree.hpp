@@ -184,7 +184,8 @@ class PimKdTree {
 
   // --- Delayed construction (§3.4) -------------------------------------------
   std::size_t unfinished_components() const { return unfinished_.size(); }
-  void finish_delayed_components();
+  // Returns the words of communication the finished pair caches shipped.
+  std::uint64_t finish_delayed_components();
 
   // --- Adaptive replication (core/replication.hpp) ---------------------------
   struct ReplicationReport {
@@ -387,7 +388,7 @@ class PimKdTree {
   void assign_components_subtree(NodeId subtree);
   std::vector<NodeId> component_members(NodeId comp_root) const;
   void materialize_component(NodeId comp_root);
-  void materialize_pair_caches(NodeId comp_root);
+  std::uint64_t materialize_pair_caches(NodeId comp_root);  // words shipped
   void demolish_component(NodeId comp_root);
   // Which caching directions apply to a component in this group (respects
   // CachingMode and the §5 cached_groups knob).
@@ -413,8 +414,10 @@ class PimKdTree {
   void attach_subtree_to_parent_comp(NodeId subtree_root);
   void demolish_subtree_storage(NodeId subtree);
   void destroy_subtree_mirror(NodeId subtree);
-  void collect_subtree_points(NodeId subtree, std::vector<PointId>& out,
-                              bool charge) ;
+  // Appends the subtree's points to `out`; with `charge`, charges reading
+  // them from their masters and returns the words of communication.
+  std::uint64_t collect_subtree_points(NodeId subtree,
+                                       std::vector<PointId>& out, bool charge);
   void splice(NodeId parent, NodeId old_child, NodeId new_child);
   // Re-derives groups on the root paths above all touched nodes and repairs
   // every component whose membership changed (promotions / demotions, §4.2

@@ -2,9 +2,9 @@
 // the degraded-mode host fallbacks for queries.
 //
 // Recovery model: a crash wipes a module's physical state but the host keeps
-// the authoritative mirror (NodePool + point store) and the copy registry
-// (intent). recover(m) revives the module and re-ships everything the
-// registry says it should hold, preferring surviving dual-way replicas as
+// the authoritative mirror (NodePool + point store) and each node's copy
+// registrations (intent). recover(m) revives the module and re-ships
+// everything the registrations say it should hold, preferring surviving dual-way replicas as
 // sources and falling back to the host store; the work and words are charged
 // to Metrics inside a "recover" trace span, so recovery cost shows up in the
 // JSONL trace like any other operation. check_integrity() then cross-checks
@@ -14,7 +14,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/pim_kdtree.hpp"
 #include "pim/status.hpp"
@@ -116,23 +115,24 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
     fail(os.str());
   }
 
-  // Expected physical words per module, recomputed from the registry while
-  // cross-checking every copy against the mirror.
+  // Expected physical words per module, recomputed from the registrations
+  // while cross-checking every replica against the mirror.
   std::vector<std::uint64_t> expect_words(sys_.P(), 0);
-  store_.for_each_registered([&](NodeId id,
-                                 const std::vector<std::uint32_t>& mods) {
-    if (!pool_.contains(id)) {
-      std::ostringstream os;
-      os << "registry entry for node " << id << " absent from the mirror";
-      fail(os.str());
-      return;
-    }
-    const NodeRec& rec = pool_.at(id);
-    // Per-module ref multiplicity.
-    std::unordered_map<std::uint32_t, std::uint32_t> refs;
-    for (const std::uint32_t m : mods) ++refs[m];
+  pool_.for_each([&](const NodeRec& rec) {
+    const NodeId id = rec.id;
+    const std::vector<std::uint32_t>& mods = store_.copy_modules(id);
+    if (mods.empty()) return;
     bool master_seen = false;
-    for (const auto& [m, r] : refs) {
+    for (const Replica& rep : store_.replicas(id)) {
+      const std::uint32_t m = rep.module;
+      const auto r = static_cast<std::uint32_t>(std::ranges::count(mods, m));
+      if (r == 0) {
+        std::ostringstream os;
+        os << "orphan copy of node " << id << " on m" << m
+           << " (not registered)";
+        fail(os.str());
+        continue;
+      }
       if (m == store_.master_of(id)) master_seen = true;
       expect_words[m] += static_cast<std::uint64_t>(r) * node_words(cfg_.dim);
       if (rec.is_leaf())
@@ -140,29 +140,28 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
             static_cast<std::uint64_t>(pool_.cold(id).leaf_pts.size()) *
             point_words(cfg_.dim);
       if (!sys_.module_alive(m)) continue;  // missing by design; flagged above
-      const ModuleState& st = sys_.module(m);
-      const auto cit = st.nodes.find(id);
-      if (cit == st.nodes.end()) {
+      if (!store_.present(rep)) {
         std::ostringstream os;
         os << "node " << id << " registered on m" << m
            << " but physically absent";
         fail(os.str());
         continue;
       }
-      if (cit->second.refs != r) {
+      if (rep.refs != r) {
         std::ostringstream os;
-        os << "node " << id << " on m" << m << ": refs=" << cit->second.refs
-           << " registry says " << r;
+        os << "node " << id << " on m" << m << ": refs=" << rep.refs
+           << " registrations " << r;
         fail(os.str());
       }
-      if (cit->second.counter != rec.counter) {
+      if (rep.counter != rec.counter) {
         std::ostringstream os;
         os << "node " << id << " on m" << m << ": replica counter "
-           << cit->second.counter << " != canonical " << rec.counter
+           << rep.counter << " != canonical " << rec.counter
            << " (stale; resync_counters repairs)";
         fail(os.str());
       }
       if (rec.is_leaf()) {
+        const ModuleState& st = sys_.module(m);
         const auto lit = st.leaf_points.find(id);
         if (lit == st.leaf_points.end() ||
             lit->second != pool_.cold(id).leaf_pts) {
@@ -181,23 +180,12 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
     }
   });
 
-  // Orphan physical copies (present on a module but not in the registry) and
+  // Orphan leaf payloads (held on a module without the node's copy) and
   // storage-ledger reconciliation.
   for (std::size_t m = 0; m < sys_.P(); ++m) {
     if (!sys_.module_alive(m)) continue;
-    const ModuleState& st = sys_.module(m);
-    for (const auto& [id, copy] : st.nodes) {
-      const auto& mods = store_.copy_modules(id);
-      if (std::find(mods.begin(), mods.end(),
-                    static_cast<std::uint32_t>(m)) == mods.end()) {
-        std::ostringstream os;
-        os << "orphan copy of node " << id << " on m" << m
-           << " (not in registry)";
-        fail(os.str());
-      }
-    }
-    for (const auto& [id, pts] : st.leaf_points) {
-      if (st.nodes.find(id) == st.nodes.end()) {
+    for (const auto& [id, pts] : sys_.module(m).leaf_points) {
+      if (!store_.module_has(m, id)) {
         std::ostringstream os;
         os << "orphan leaf payload for node " << id << " on m" << m;
         fail(os.str());

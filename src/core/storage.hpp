@@ -8,22 +8,24 @@
 //     bottom-up ancestor chain),
 // per the active CachingMode. Leaf payloads travel with leaf-node copies.
 //
-// DistStore physically stores copies in per-module maps (so per-module space
-// and load are measurable and traversals can assert a node is really present
-// where the algorithm claims), keeps a host-side registry of copy locations
-// (so demolition and counter broadcast are exact), and charges Metrics for
-// every word it ships.
+// DistStore keeps each node's copy table in the node's pool slot
+// (NodeCold::copies): the registration list (intent, so demolition and
+// counter broadcast are exact) and one replica per registered module (the
+// copy's counter and physical presence, so per-module space and load are
+// measurable and traversals can assert a node is really present where the
+// algorithm claims). Leaf payloads sit in the owning module's state. Every
+// word shipped is charged to Metrics.
 //
-// Fault model: the registry records *intent* (where copies should live); the
-// per-module maps record physical truth. When a module is dead (crashed, see
-// pim/fault.hpp), the orchestrator suppresses every message addressed to it —
-// registry bookkeeping proceeds (so recovery knows what to restore) but no
-// state is written, no words are charged and no storage moves. Lost counter
-// messages (kMessageLoss) are charged (the word left the host) but not
-// applied, leaving a stale replica for check_integrity to flag and
-// resync_counters to repair. rebuild_module() restores a revived module's
-// copies from surviving replicas, falling back to the host-side authoritative
-// store when a node has no live replica.
+// Fault model: when a module is dead (crashed, see pim/fault.hpp), the
+// orchestrator suppresses every message addressed to it — registrations
+// proceed (so recovery knows what to restore) but no state is written, no
+// words are charged and no storage moves. A crash bumps the module's
+// incarnation, so its replicas read as absent until rebuild_module() restores
+// them from surviving replicas, falling back to the host-side authoritative
+// store when a node has no live replica. Lost counter messages
+// (kMessageLoss) are charged (the word left the host) but not applied,
+// leaving a stale replica for check_integrity to flag and resync_counters to
+// repair.
 #pragma once
 
 #include <atomic>
@@ -43,13 +45,7 @@ class Checkpoint;
 
 namespace pimkd::core {
 
-struct Copy {
-  double counter = 0;     // this copy's replica of the approximate counter
-  std::uint32_t refs = 0; // same node cached on this module via several owners
-};
-
 struct ModuleState {
-  std::unordered_map<NodeId, Copy> nodes;
   std::unordered_map<NodeId, std::vector<PointId>> leaf_points;
 };
 
@@ -120,29 +116,32 @@ class DistStore {
 
   // Adds one copy of `id` on `module`, shipping the node record (and the
   // leaf payload if `id` is a leaf) from the CPU: charges communication and
-  // storage. Must be called inside a round.
-  void add_copy(NodeId id, std::size_t module);
+  // storage, and returns the words charged. Must be called inside a round.
+  std::uint64_t add_copy(NodeId id, std::size_t module);
 
   // Removes every copy of `id` everywhere (node destroyed or component being
   // re-materialized). Frees storage; dropping data charges nothing.
   void remove_all_copies(NodeId id);
 
   // Removes exactly one copy of `id` from `module` (incremental component
-  // maintenance when a node leaves a component). The copy must exist in the
-  // registry; a missing entry throws PimError(kCorruptState) so callers (and
-  // tests) can observe the damage instead of the process dying.
+  // maintenance when a node leaves a component). The copy must be
+  // registered; a missing registration throws PimError(kCorruptState) so
+  // callers (and tests) can observe the damage instead of the process dying.
   void remove_one_copy(NodeId id, std::size_t module);
 
   // Is a copy of `id` present on `module`? (Traversal assertion hook.)
-  bool module_has(std::size_t module, NodeId id) const;
+  bool module_has(std::size_t module, NodeId id) const {
+    return present_copy(id, module) != nullptr;
+  }
+  // The copy of `id` physically present on `module`, or null.
+  const Replica* present_copy(NodeId id, std::size_t module) const;
+  bool present(const Replica& r) const {
+    return r.refs != 0 && r.stamp == sys_.incarnation(r.module);
+  }
 
   // --- Fault surface ---------------------------------------------------------
   bool module_alive(std::size_t m) const { return sys_.module_alive(m); }
   bool any_module_dead() const { return sys_.dead_module_count() != 0; }
-
-  // Is at least one registered copy of `id` on an alive module? (Degraded
-  // queries fall back to the host when not.)
-  bool has_live_copy(NodeId id) const;
 
   // Re-ships every registered copy of (revived, empty) module `m` — node
   // records, counters, leaf payloads — preferring a surviving replica as the
@@ -161,20 +160,23 @@ class DistStore {
   // Returns the number of replicas fixed.
   std::uint64_t resync_counters();
 
-  // Host-side fsck hook: fn(id, modules) for every registry entry.
-  template <class Fn>
-  void for_each_registered(Fn&& fn) const {
-    for (const auto& [id, mods] : registry_) fn(id, mods);
+  // All modules registered to hold a copy (with multiplicity, in
+  // registration order). Used for counter broadcast cost accounting.
+  const std::vector<std::uint32_t>& copy_modules(NodeId id) const {
+    return pool_.cold(id).copies.modules;
+  }
+  std::size_t copy_count(NodeId id) const { return copy_modules(id).size(); }
+  // One entry per distinct registered module, sorted by module.
+  const std::vector<Replica>& replicas(NodeId id) const {
+    return pool_.cold(id).copies.replicas;
   }
 
-  // All modules currently holding a copy (with multiplicity; master first if
-  // present). Used for counter broadcast cost accounting.
-  const std::vector<std::uint32_t>& copy_modules(NodeId id) const;
-  std::size_t copy_count(NodeId id) const;
-
   // Broadcasts the node's canonical counter value to every copy; charges one
-  // word of communication and one unit of PIM work per copy written.
-  void broadcast_counter(NodeId id) { write_counter_copies(id, true); }
+  // word of communication and one unit of PIM work per copy written, and
+  // returns the words charged.
+  std::uint64_t broadcast_counter(NodeId id) {
+    return write_counter_copies(id, true);
+  }
   // Same write, but charged as module-local work only. Used for the in-group
   // ancestor chain updates of §3.3/Lemma 4.2: the message that reaches a
   // module carrying a copy of the lowest node lets its PIM core walk the
@@ -190,19 +192,31 @@ class DistStore {
   std::uint64_t node_storage_words(NodeId id) const;
 
  private:
-  // Checkpointing (src/durability/checkpoint.cpp) serializes the registry —
-  // the durable intent — directly and rehydrates physical module state from
-  // it on load, charging storage (not communication: a restore is host-side
-  // rehydration, not a PIM transfer).
+  // Checkpointing (src/durability/checkpoint.cpp) serializes the
+  // registration lists — the durable intent — directly and rehydrates
+  // physical module state from them on load through register_copy/install,
+  // charging storage (not communication: a restore is host-side rehydration,
+  // not a PIM transfer).
   friend class pimkd::durability::Checkpoint;
 
-  std::uint64_t copy_words(const NodeRec& rec) const;
-  void write_counter_copies(NodeId id, bool charge_comm);
+  Replica* mutable_copy(NodeId id, std::size_t module) {
+    return const_cast<Replica*>(present_copy(id, module));
+  }
+  // Appends `module` to the registration list and returns its replica,
+  // inserting an absent one for a module registered for the first time.
+  static Replica& register_copy(CopyTable& t, std::uint32_t module);
+  // Physically stores one more reference of `id` in replica `r` (alive
+  // module): the node record, plus the leaf payload with the first
+  // reference. Returns the words now held.
+  std::uint64_t install(NodeId id, Replica& r);
+  // Frees `refs` references of present replica `r` (the leaf payload goes
+  // with the last one); returns the words freed.
+  std::uint64_t release(NodeId id, Replica& r, std::uint32_t refs);
+  std::uint64_t write_counter_copies(NodeId id, bool charge_comm);
 
   const PimKdConfig& cfg_;
   pim::PimSystem<ModuleState>& sys_;
   NodePool& pool_;
-  std::unordered_map<NodeId, std::vector<std::uint32_t>> registry_;
   // Migration placement overrides: id -> pinned master module. Consulted by
   // master_of before the hash; empty in the common (no-migration) case.
   std::unordered_map<NodeId, std::uint32_t> remap_;
@@ -210,7 +224,6 @@ class DistStore {
   // traversal is bookkeeping, not logical mutation of the store.
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> heat_;
   std::size_t heat_size_ = 0;
-  std::vector<std::uint32_t> empty_;
 };
 
 }  // namespace pimkd::core

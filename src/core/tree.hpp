@@ -3,9 +3,10 @@
 // The host CPU in the PIM Model orchestrates every operation, so it knows the
 // tree's shape (ids, children, groups). The mirror holds exactly that
 // orchestration state plus the *exact* subtree sizes used as a testing
-// oracle; the per-copy approximate counters and leaf payloads live in module
-// storage (core/storage.hpp), which is the ground the cost accounting stands
-// on. NodeIds are never reused, so stale references are detectable.
+// oracle. Each node's copy table (NodeCold::copies) records where its copies
+// live and what each module physically holds; DistStore (core/storage.hpp)
+// owns it, and the cost accounting stands on it. NodeIds are never reused, so
+// stale references are detectable.
 //
 // Storage layout: a flat slab. Records live in contiguous vectors indexed by
 // a slot; `slot_of_[id]` maps the never-reused NodeId to its current slot and
@@ -55,8 +56,29 @@ struct NodeRec {
   bool is_leaf() const { return split_dim < 0; }
 };
 
+// One module's copy of a node (DistStore, core/storage.hpp). It is physically
+// present while refs != 0 and `stamp` equals the module's incarnation: a crash
+// bumps the incarnation, so every copy written before it reads as absent
+// until recovery rewrites it.
+struct Replica {
+  double counter = 0;        // this copy's replica of the approximate counter
+  std::uint32_t module = 0;
+  std::uint32_t refs = 0;    // same node cached on this module via several owners
+  std::uint32_t stamp = 0;   // module incarnation the copy was written under
+};
+
+// A node's copy table. `modules` is the registration list (intent), verbatim:
+// with multiplicity and in registration order, which counter broadcasts and
+// message-loss draws follow. `replicas` holds one entry per distinct
+// registered module, sorted by module (physical truth).
+struct CopyTable {
+  std::vector<std::uint32_t> modules;
+  std::vector<Replica> replicas;
+};
+
 struct NodeCold {
   std::vector<PointId> leaf_pts;  // orchestration copy of the leaf payload
+  CopyTable copies;               // where the node's copies live (DistStore)
   // Structure-of-arrays mirror of leaf_pts' coordinates (one padded row per
   // dimension) — what the vectorized leaf-scan kernels read. Kept in sync
   // via refresh_leaf_soa below at every leaf payload mutation; queries never

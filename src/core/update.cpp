@@ -31,15 +31,6 @@ void PimKdTree::counter_attempt(NodeId lowest, int sign) {
   }
   if (!step.updated) return;
   ++op_stats_.counter_updates;
-  const std::uint64_t c0 = sys_.metrics().snapshot().communication;
-  struct Tally {
-    PimKdTree* t;
-    std::uint64_t c0;
-    ~Tally() {
-      t->op_stats_.words_counters +=
-          t->sys_.metrics().snapshot().communication - c0;
-    }
-  } tally{this, c0};
   // Lemma 4.2 cost model: one off-chip word per copy of the *lowest* node;
   // the in-group ancestor chain is then updated locally on each module that
   // received the message (dual-way caching collocates the chain), so those
@@ -49,7 +40,7 @@ void PimKdTree::counter_attempt(NodeId lowest, int sign) {
     NodeRec& rec = pool_.at(cur);
     rec.counter = std::max(rec.counter + step.delta, 0.0);
     if (first) {
-      store_.broadcast_counter(cur);
+      op_stats_.words_counters += store_.broadcast_counter(cur);
     } else {
       store_.sync_counter_local(cur);
     }

@@ -114,17 +114,16 @@ void Checkpoint::write_storage(const core::PimKdTree& t, ByteWriter& w) {
   const std::size_t P = t.sys_.P();
   w.u64(P);
   for (std::size_t m = 0; m < P; ++m) w.u8(t.sys_.module_alive(m) ? 1 : 0);
-  // Registry entries ascending by NodeId (the map is unordered); each
-  // entry's module vector verbatim — its order drives counter-broadcast and
-  // drop-draw sequences, so it is semantic state, not an implementation
-  // detail.
+  // Registration lists ascending by NodeId, each verbatim — its order drives
+  // counter-broadcast and drop-draw sequences, so it is semantic state, not
+  // an implementation detail.
   std::vector<core::NodeId> ids;
-  ids.reserve(t.store_.registry_.size());
-  for (const auto& [id, mods] : t.store_.registry_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  t.pool_.for_each([&](const core::NodeRec& n) {
+    if (t.store_.copy_count(n.id) != 0) ids.push_back(n.id);
+  });
   w.u64(ids.size());
   for (const core::NodeId id : ids) {
-    const std::vector<std::uint32_t>& mods = t.store_.registry_.at(id);
+    const std::vector<std::uint32_t>& mods = t.store_.copy_modules(id);
     w.u64(id);
     w.u32(static_cast<std::uint32_t>(mods.size()));
     for (const std::uint32_t m : mods) w.u32(m);
@@ -135,19 +134,14 @@ void Checkpoint::write_storage(const core::PimKdTree& t, ByteWriter& w) {
   ByteWriter stale;
   std::uint64_t n_stale = 0;
   for (const core::NodeId id : ids) {
-    const core::NodeRec& rec = t.pool_.at(id);
-    const std::vector<std::uint32_t>& mods = t.store_.registry_.at(id);
-    std::vector<std::uint32_t> seen;
-    for (const std::uint32_t m : mods) {
-      if (std::find(seen.begin(), seen.end(), m) != seen.end()) continue;
-      seen.push_back(m);
-      if (!t.sys_.module_alive(m)) continue;
-      const auto it = t.sys_.module(m).nodes.find(id);
-      if (it == t.sys_.module(m).nodes.end()) continue;
-      if (it->second.counter != rec.counter) {
+    const std::vector<std::uint32_t>& mods = t.store_.copy_modules(id);
+    for (auto it = mods.begin(); it != mods.end(); ++it) {
+      if (std::find(mods.begin(), it, *it) != it) continue;  // seen
+      const core::Replica* r = t.store_.present_copy(id, *it);
+      if (r && r->counter != t.pool_.at(id).counter) {
         stale.u64(id);
-        stale.u32(m);
-        stale.f64(it->second.counter);
+        stale.u32(*it);
+        stale.f64(r->counter);
         ++n_stale;
       }
     }
@@ -286,13 +280,12 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
   for (std::uint8_t& a : alive)
     if (!r.u8(a)) return corrupt("storage record truncated (alive bitmap)");
   // Kill dead modules first: crash_module zeroes their (still empty) storage
-  // ledger, and the rehydration below then skips them — intent (registry) is
-  // restored, physical state stays missing, exactly as before the save.
+  // ledger, and the rehydration below then skips them — intent (the
+  // registration lists) is restored, physical state stays missing, exactly
+  // as before the save.
   for (std::size_t m = 0; m < P; ++m)
     if (!alive[m]) t.sys_.crash_module(m);
 
-  const std::uint64_t nw = core::node_words(t.cfg_.dim);
-  const std::uint64_t pw = core::point_words(t.cfg_.dim);
   std::vector<std::uint64_t> words(static_cast<std::size_t>(P), 0);
   std::uint64_t n_entries = 0;
   if (!r.u64(n_entries)) return corrupt("storage record truncated");
@@ -306,27 +299,15 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
     prev = id;
     if (!t.pool_.contains(id))
       return corrupt("storage record: registry entry for unknown node");
-    std::vector<std::uint32_t>& mods = t.store_.registry_[id];
-    mods.resize(n_mods);
-    for (std::uint32_t& m : mods) {
+    // Physical rehydration on alive modules, with DistStore::add_copy's
+    // accounting: one node record per ref, the leaf payload once per module.
+    core::CopyTable& table = t.pool_.cold(id).copies;
+    for (std::uint32_t j = 0; j < n_mods; ++j) {
+      std::uint32_t m = 0;
       if (!r.u32(m)) return corrupt("storage record truncated (registry)");
       if (m >= P) return corrupt("storage record: module index out of range");
-    }
-    // Physical rehydration on alive modules, mirroring DistStore::add_copy's
-    // accounting: one node record per ref, the leaf payload once per module.
-    const core::NodeRec& rec = t.pool_.at(id);
-    const core::NodeCold& cold = t.pool_.cold(id);
-    for (const std::uint32_t m : mods) {
-      if (!alive[m]) continue;
-      core::ModuleState& st = t.sys_.module(m);
-      core::Copy& copy = st.nodes[id];
-      ++copy.refs;
-      copy.counter = rec.counter;
-      words[m] += nw;
-      if (rec.is_leaf() && copy.refs == 1) {
-        st.leaf_points[id] = cold.leaf_pts;
-        words[m] += static_cast<std::uint64_t>(cold.leaf_pts.size()) * pw;
-      }
+      core::Replica& rep = t.store_.register_copy(table, m);
+      if (alive[m]) words[m] += t.store_.install(id, rep);
     }
   }
   // Storage is charged (a restore re-materializes physically held words);
@@ -345,10 +326,10 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
       return corrupt("storage record truncated (stale counters)");
     if (m >= P) return corrupt("storage record: stale-counter module range");
     if (!alive[m]) continue;
-    const auto it = t.sys_.module(m).nodes.find(id);
-    if (it == t.sys_.module(m).nodes.end())
+    core::Replica* rep = t.store_.mutable_copy(id, m);
+    if (rep == nullptr)
       return corrupt("storage record: stale counter for absent copy");
-    it->second.counter = counter;
+    rep->counter = counter;
   }
 
   std::uint64_t n_remap = 0;

@@ -52,7 +52,8 @@ class PimSystem : private RoundObserver {
         metrics_(cfg.num_modules, cfg.cache_words),
         salt_(Rng(cfg.seed).next_u64()),
         states_(cfg.num_modules),
-        alive_(cfg.num_modules, 1) {
+        alive_(cfg.num_modules, 1),
+        incarnation_(cfg.num_modules, 0) {
     FaultPlan plan = FaultPlan::resolve(cfg.fault_spec);
     if (!cfg.fault_spec.empty()) {
       // An explicit plan that names a module this system does not have could
@@ -90,6 +91,9 @@ class PimSystem : private RoundObserver {
   const FaultInjector* faults() const { return faults_.get(); }
 
   bool module_alive(std::size_t m) const { return alive_[m] != 0; }
+  // Crashes module m has suffered. Host-side tables stamp what they place on
+  // a module with this value, so a crash invalidates all of it in O(1).
+  std::uint32_t incarnation(std::size_t m) const { return incarnation_[m]; }
   std::size_t dead_module_count() const { return dead_; }
   const std::vector<char>& alive_bitmap() const { return alive_; }
   std::vector<std::size_t> dead_modules() const {
@@ -106,6 +110,7 @@ class PimSystem : private RoundObserver {
     if (m >= alive_.size() || !alive_[m]) return;
     alive_[m] = 0;
     ++dead_;
+    ++incarnation_[m];
     states_[m] = State{};
     const std::uint64_t lost = metrics_.clear_storage(m);
     lost_words_ += lost;
@@ -191,6 +196,7 @@ class PimSystem : private RoundObserver {
   std::uint64_t salt_;
   std::vector<State> states_;
   std::vector<char> alive_;
+  std::vector<std::uint32_t> incarnation_;
   std::size_t dead_ = 0;
   std::uint64_t lost_words_ = 0;
   std::unique_ptr<FaultInjector> faults_;

@@ -423,13 +423,21 @@ std::size_t Frontend::execute_epoch(std::vector<serve::Request> batch,
   for (const std::uint32_t i : updates) resp[i].epoch = router_.epoch();
 
   // ---- Resolve.
+  std::uint64_t done = now;  // virtual time: completion at the pump tick
+  if (cfg_.clock) {
+    const std::uint64_t c = cfg_.clock();
+    if (c < now)
+      ++stats_.clock_regressions;  // clamp: never complete before dispatch
+    else
+      done = c;
+  }
   ++stats_.batches;
   stats_.reads += reads.size();
   stats_.updates += updates.size();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    resp[i].complete_tick = now;
+    resp[i].complete_tick = done;
     stats_.queue_latency.record(sat_sub(now, resp[i].submit_tick));
-    stats_.service_latency.record(sat_sub(now, resp[i].submit_tick));
+    stats_.service_latency.record(sat_sub(done, resp[i].submit_tick));
     ++stats_.completed;
     batch[i].promise.set_value(std::move(resp[i]));
   }

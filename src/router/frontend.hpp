@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -97,6 +98,12 @@ struct FrontendConfig {
   std::vector<durability::Manager*> durability;
   // Automatic load-driven shard splitting (see AutoReshardConfig).
   AutoReshardConfig auto_reshard{};
+  // Completion-time clock, as SchedulerConfig::clock. When set, completion
+  // ticks and service latency re-read it after the epoch executes; a reading
+  // behind the dispatch tick is clamped to it and counted
+  // (stats().clock_regressions). Unset, completion equals the pump tick
+  // (virtual-time mode, fully deterministic).
+  std::function<std::uint64_t()> clock;
 };
 
 // Router-level serving summary. `shards` is the ServeStats::merge() fold of
@@ -114,6 +121,7 @@ struct FrontendStats {
   std::uint64_t fanout_reads = 0;        // reads scattered to >= 2 shards
   std::uint64_t knn_second_phase = 0;    // kNNs that needed a second round
   std::uint64_t ticks_rejected = 0;      // non-monotonic pump/flush ticks
+  std::uint64_t clock_regressions = 0;   // completion clock read behind dispatch
   std::uint64_t resharded = 0;           // shard splits performed
   util::LatencyHistogram queue_latency;    // submit -> dispatch, ticks
   util::LatencyHistogram service_latency;  // submit -> completion, ticks

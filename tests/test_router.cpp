@@ -616,6 +616,43 @@ TEST(Frontend, StopResolvesEverythingAndRejectsLateSubmits) {
   EXPECT_EQ(st.shards.completed, st.shards.submitted);
 }
 
+TEST(Frontend, CompletionClockStampsAfterExecution) {
+  // A stepping fake clock: every read advances it, so the completion stamp,
+  // read after the epoch executes, lands past the dispatch tick and the
+  // service histogram covers execution as well as queueing.
+  const auto initial = gen_uniform({.n = 200, .dim = 2, .seed = 92});
+  Router router(router_cfg(2), initial);
+  std::uint64_t fake_now = 1000;
+  FrontendConfig fc;
+  fc.batch_size = 8;
+  fc.clock = [&fake_now] { return fake_now += 50; };
+  Frontend fe(router, fc);
+  std::vector<std::future<serve::Response>> futs;
+  for (std::size_t i = 0; i < 8; ++i)
+    futs.push_back(fe.submit(serve::Request::knn(initial[i], 4), 10));
+  fe.pump(20);
+  for (auto& f : futs) {
+    const serve::Response r = f.get();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.dispatch_tick, 20u);
+    EXPECT_GT(r.complete_tick, r.dispatch_tick);
+  }
+  FrontendStats st = fe.stats();
+  EXPECT_EQ(st.clock_regressions, 0u);
+  EXPECT_EQ(st.queue_latency.max(), 10u);
+  EXPECT_GT(st.service_latency.min(), st.queue_latency.max());
+
+  // A reading behind the dispatch tick is clamped to it and counted.
+  futs.clear();
+  for (std::size_t i = 0; i < 8; ++i)
+    futs.push_back(fe.submit(serve::Request::knn(initial[i], 4), 5000));
+  fe.pump(5000);
+  for (auto& f : futs) EXPECT_EQ(f.get().complete_tick, 5000u);
+  st = fe.stats();
+  EXPECT_EQ(st.clock_regressions, 1u);
+  EXPECT_EQ(st.service_latency.count(), 16u);
+}
+
 // --- Cross-thread-count / cross-backend determinism (subprocess) --------------
 
 std::string self_exe() {
