@@ -18,6 +18,9 @@
 // return message is part of the hop that entered. Every local read asserts
 // the node copy is physically present in the current module's storage,
 // catching replication bugs in tests.
+//
+// The Cursor is the PIM visit policy of the query walks; HostVisit
+// (core/walk.hpp) is its host-mirror counterpart for dead modules.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +61,8 @@ class Cursor {
   std::size_t current_module() const;
   std::uint64_t hops() const { return hops_; }
 
-  // The ledger this traversal charges (degraded-mode host fallbacks charge
-  // CPU work on it when a subtree's module is dead).
+  // The ledger this traversal charges (a dead module's subtree is walked on
+  // the host mirror, charging CPU work on it).
   pim::Metrics& ledger() const { return metrics_; }
 
  private:

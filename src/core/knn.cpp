@@ -1,14 +1,17 @@
 // kNN / (1+eps)-ANN (§4.3) and the DPC dependent-point priority search
-// (§6.1), all driven through the dual-way-caching Cursor: descending into a
+// (§6.1). Each is one walk templated on the visit policy (core/walk.hpp): on
+// the PIM modules through the dual-way-caching Cursor — descending into a
 // component costs one off-chip hop, traversal inside it is on-chip, and
 // backtracking returns through the anchor stack for free (the return message
-// is part of the hop that entered).
+// is part of the hop that entered) — or on the host mirror for subtrees whose
+// module is dead.
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 
-#include "core/pim_kdtree.hpp"
-#include "parallel/primitives.hpp"
+#include "core/walk.hpp"
 
 namespace pimkd::core {
 
@@ -18,36 +21,35 @@ struct HeapCmp {
     return a.sq_dist != b.sq_dist ? a.sq_dist < b.sq_dist : a.id < b.id;
   }
 };
+
+// Strictly-higher-priority order: (prio, id) lexicographic.
+bool higher(double prio, PointId id, double q_prio, PointId self) {
+  return prio > q_prio || (prio == q_prio && id > self);
+}
 }  // namespace
 
-void PimKdTree::knn_rec(Cursor& cur, NodeId nid, const Point& q,
-                        std::vector<Neighbor>& heap, std::size_t k,
-                        double prune) const {
-  if (!cur.can_visit(nid)) {
-    // Degraded mode: this subtree's module is dead; scan the host mirror
-    // instead. Same pruning, same tie-breaks, so results stay exact.
-    deg_subtrees_.fetch_add(1, std::memory_order_relaxed);
-    host_knn_rec(cur.ledger(), nid, q, heap, k, prune);
-    return;
+template <class V>
+void PimKdTree::knn_walk(V& v, NodeId nid, const Point& q,
+                         std::vector<Neighbor>& heap, std::size_t k,
+                         double prune) const {
+  if (!v.can_visit(nid)) {
+    HostVisit host = host_subtree(v.ledger());
+    return knn_walk(host, nid, q, heap, k, prune);
   }
-  const std::size_t mark = cur.mark();
-  cur.visit(nid);
+  const VisitScope<V> scope(v, nid);
   const NodeRec& n = pool_.at(nid);
-  const Coord worst_in = heap.size() < k
-                             ? std::numeric_limits<Coord>::infinity()
-                             : heap.front().sq_dist;
-  // Strict prune: a box at distance exactly worst_in may still hold a point
+  const auto worst = [&] {
+    return heap.size() < k ? std::numeric_limits<Coord>::infinity()
+                           : heap.front().sq_dist;
+  };
+  // Strict prune: a box at distance exactly worst() may still hold a point
   // that wins the (sq_dist, id) tie-break at the k-th place, so boundary
   // ties stay brute-force-exact (the router's cross-shard merge relies on
   // every shard answering in that total order).
-  if (n.box.sq_dist_to(q, cfg_.dim) * prune > worst_in) {
-    cur.release(mark);
-    return;
-  }
+  if (n.box.sq_dist_to(q, cfg_.dim) * prune > worst()) return;
   if (n.is_leaf()) {
     const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    cur.charge_work(pts.size());
+    v.charge_work(nc.leaf_pts.size());
     // Batched leaf scan: distances come from the SoA kernel (bit-identical
     // per lane to sq_dist); the heap consumption below runs in the exact
     // scalar visit order, so results and tie-breaks are unchanged.
@@ -57,7 +59,7 @@ void PimKdTree::knn_rec(Cursor& cur, NodeId nid, const Point& q,
       kernels::leaf_sq_dists(isa_, nc.soa, base, cnt, q.x.data(), cfg_.dim,
                              d2);
       for (std::uint32_t j = 0; j < cnt; ++j) {
-        const PointId id = pts[base + j];
+        const PointId id = nc.leaf_pts[base + j];
         if (!alive_[id]) continue;
         const Neighbor cand{id, d2[j]};
         if (heap.size() < k) {
@@ -70,7 +72,6 @@ void PimKdTree::knn_rec(Cursor& cur, NodeId nid, const Point& q,
         }
       }
     }
-    cur.release(mark);
     return;
   }
   pool_.prefetch(n.left);
@@ -78,74 +79,55 @@ void PimKdTree::knn_rec(Cursor& cur, NodeId nid, const Point& q,
   const bool left_first = q[n.split_dim] < n.split_val;
   const NodeId first = left_first ? n.left : n.right;
   const NodeId second = left_first ? n.right : n.left;
-  knn_rec(cur, first, q, heap, k, prune);
-  const Coord worst = heap.size() < k ? std::numeric_limits<Coord>::infinity()
-                                      : heap.front().sq_dist;
-  if (pool_.at(second).box.sq_dist_to(q, cfg_.dim) * prune <= worst)
-    knn_rec(cur, second, q, heap, k, prune);
-  cur.release(mark);
+  knn_walk(v, first, q, heap, k, prune);
+  if (pool_.at(second).box.sq_dist_to(q, cfg_.dim) * prune <= worst())
+    knn_walk(v, second, q, heap, k, prune);
 }
 
 std::vector<std::vector<Neighbor>> PimKdTree::knn(
     std::span<const Point> queries, std::size_t k, double eps) {
   validate_points(queries, cfg_.dim, "knn");
+  if (k == 0) throw std::invalid_argument("knn: k must be >= 1, got 0");
+  if (!(std::isfinite(eps) && eps >= 0.0)) {
+    std::ostringstream os;
+    os << "knn: eps must be finite and >= 0, got " << eps;
+    throw std::invalid_argument(os.str());
+  }
   pim::TraceScope span(sys_.metrics(), eps > 0.0 ? "ann" : "knn",
                        queries.size());
   pim::RoundGuard round(sys_.metrics());
   std::vector<std::vector<Neighbor>> out(queries.size());
-  if (root_ == kNoNode) return out;
   const double prune = (1.0 + eps) * (1.0 + eps);
-  const auto starts = query_start_modules();
-  // Queries of a batch are independent: they run across the host's cores and
-  // charge the (thread-safe) ledger concurrently.
-  parallel_for(0, queries.size(), [&](std::size_t i) {
+  run_queries(queries.size(), /*grain=*/16, [&](auto& v, std::size_t i) {
     std::vector<Neighbor> heap;
     heap.reserve(k);
-    if (starts.empty()) {
-      // Every module is down: the whole query runs on the host mirror.
-      deg_queries_.fetch_add(1, std::memory_order_relaxed);
-      host_knn_rec(sys_.metrics(), root_, queries[i], heap, k, prune);
-    } else {
-      const std::size_t start = starts[i % starts.size()];
-      sys_.metrics().add_comm(start, kQueryWords);
-      Cursor cur(cfg_, pool_, store_, sys_.metrics(), start);
-      knn_rec(cur, root_, queries[i], heap, k, prune);
-    }
+    knn_walk(v, root_, queries[i], heap, k, prune);
     std::sort_heap(heap.begin(), heap.end(), HeapCmp{});
     out[i] = std::move(heap);
-  }, /*grain=*/16);
+    return 0;
+  });
   return out;
 }
 
 // --- DPC dependent point (priority 1NN, §6.1) ---------------------------------
 
-namespace {
-// Strictly-higher-priority order: (prio, id) lexicographic.
-bool higher(double prio, PointId id, double q_prio, PointId self) {
-  return prio > q_prio || (prio == q_prio && id > self);
-}
-}  // namespace
-
-void PimKdTree::dep_rec(Cursor& cur, NodeId nid, const Point& q, double q_prio,
-                        PointId self, Neighbor& best) const {
-  if (!cur.can_visit(nid)) {
-    deg_subtrees_.fetch_add(1, std::memory_order_relaxed);
-    host_dep_rec(cur.ledger(), nid, q, q_prio, self, best);
-    return;
+template <class V>
+void PimKdTree::dep_walk(V& v, NodeId nid, const Point& q, double q_prio,
+                         PointId self, Neighbor& best) const {
+  if (!v.can_visit(nid)) {
+    HostVisit host = host_subtree(v.ledger());
+    return dep_walk(host, nid, q, q_prio, self, best);
   }
-  const std::size_t mark = cur.mark();
-  cur.visit(nid);
+  const VisitScope<V> scope(v, nid);
   const NodeRec& n = pool_.at(nid);
   // Priority pruning: skip subtrees with no higher-priority point.
   const NodeCold& nc = pool_.cold(nid);
   if (nc.max_priority_id == kInvalidPoint ||
       !higher(nc.max_priority, nc.max_priority_id, q_prio, self) ||
-      n.box.sq_dist_to(q, cfg_.dim) >= best.sq_dist) {
-    cur.release(mark);
+      n.box.sq_dist_to(q, cfg_.dim) >= best.sq_dist)
     return;
-  }
   if (n.is_leaf()) {
-    cur.charge_work(nc.leaf_pts.size());
+    v.charge_work(nc.leaf_pts.size());
     double d2s[kernels::kScanChunk];
     for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
       const std::uint32_t cnt = std::min(kernels::kScanChunk, nc.soa.n - base);
@@ -159,7 +141,6 @@ void PimKdTree::dep_rec(Cursor& cur, NodeId nid, const Point& q, double q_prio,
           best = Neighbor{id, d2};
       }
     }
-    cur.release(mark);
     return;
   }
   pool_.prefetch(n.left);
@@ -167,43 +148,46 @@ void PimKdTree::dep_rec(Cursor& cur, NodeId nid, const Point& q, double q_prio,
   const bool left_first = q[n.split_dim] < n.split_val;
   const NodeId first = left_first ? n.left : n.right;
   const NodeId second = left_first ? n.right : n.left;
-  dep_rec(cur, first, q, q_prio, self, best);
+  dep_walk(v, first, q, q_prio, self, best);
   if (pool_.at(second).box.sq_dist_to(q, cfg_.dim) < best.sq_dist)
-    dep_rec(cur, second, q, q_prio, self, best);
-  cur.release(mark);
+    dep_walk(v, second, q, q_prio, self, best);
 }
 
 std::vector<Neighbor> PimKdTree::dependent_points(
     std::span<const Point> queries, std::span<const double> query_priority,
     std::span<const PointId> self_id) {
-  assert(queries.size() == query_priority.size() &&
-         queries.size() == self_id.size());
-  assert(!priorities_.empty() && "call set_priorities first");
   validate_points(queries, cfg_.dim, "dependent_points");
+  const auto check_size = [&](const char* field, std::size_t size) {
+    if (size == queries.size()) return;
+    std::ostringstream os;
+    os << "dependent_points: " << field << " has " << size << " entries for "
+       << queries.size() << " queries";
+    throw std::invalid_argument(os.str());
+  };
+  check_size("query_priority", query_priority.size());
+  check_size("self_id", self_id.size());
+  if (priorities_.empty())
+    throw std::invalid_argument(
+        "dependent_points: priorities unset (call set_priorities first)");
   pim::TraceScope span(sys_.metrics(), "dependent_points", queries.size());
   pim::RoundGuard round(sys_.metrics());
   std::vector<Neighbor> out(
       queries.size(),
       Neighbor{kInvalidPoint, std::numeric_limits<Coord>::infinity()});
-  if (root_ == kNoNode) return out;
-  const auto starts = query_start_modules();
-  parallel_for(0, queries.size(), [&](std::size_t i) {
-    if (starts.empty()) {
-      deg_queries_.fetch_add(1, std::memory_order_relaxed);
-      host_dep_rec(sys_.metrics(), root_, queries[i], query_priority[i],
-                   self_id[i], out[i]);
-      return;
-    }
-    const std::size_t start = starts[i % starts.size()];
-    sys_.metrics().add_comm(start, kQueryWords);
-    Cursor cur(cfg_, pool_, store_, sys_.metrics(), start);
-    dep_rec(cur, root_, queries[i], query_priority[i], self_id[i], out[i]);
-  }, /*grain=*/16);
+  run_queries(queries.size(), /*grain=*/16, [&](auto& v, std::size_t i) {
+    dep_walk(v, root_, queries[i], query_priority[i], self_id[i], out[i]);
+    return 0;
+  });
   return out;
 }
 
 void PimKdTree::set_priorities(std::span<const double> priority_by_id) {
-  assert(priority_by_id.size() >= all_points_.size());
+  if (priority_by_id.size() < all_points_.size()) {
+    std::ostringstream os;
+    os << "set_priorities: priority_by_id has " << priority_by_id.size()
+       << " entries for " << all_points_.size() << " point ids";
+    throw std::invalid_argument(os.str());
+  }
   const WriteGate gate(*this);  // wait out in-flight pinned read phases
   ++mutation_epoch_;
   priorities_.assign(priority_by_id.begin(), priority_by_id.end());

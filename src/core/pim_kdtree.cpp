@@ -79,6 +79,14 @@ PimKdTree::WriteGate::~WriteGate() {
   tree.pin_cv_.notify_all();
 }
 
+std::vector<std::size_t> PimKdTree::query_start_modules() const {
+  std::vector<std::size_t> out;
+  out.reserve(sys_.P());
+  for (std::size_t m = 0; m < sys_.P(); ++m)
+    if (sys_.module_alive(m)) out.push_back(m);
+  return out;
+}
+
 std::size_t PimKdTree::height() const {
   return root_ == kNoNode ? 0 : height_rec(root_);
 }

@@ -44,6 +44,8 @@ class Checkpoint;
 
 namespace pimkd::core {
 
+class HostVisit;  // core/walk.hpp
+
 class PimKdTree {
  public:
   explicit PimKdTree(const PimKdConfig& cfg);
@@ -444,33 +446,34 @@ class PimKdTree {
                                      int update_sign);
   bool counters_violated(NodeId interior) const;
 
-  // --- Query recursion (knn.cpp / range.cpp) -----------------------------------
-  void knn_rec(Cursor& cur, NodeId nid, const Point& q,
-               std::vector<Neighbor>& heap, std::size_t k, double prune) const;
-  void dep_rec(Cursor& cur, NodeId nid, const Point& q, double q_prio,
-               PointId self, Neighbor& best) const;
-  void range_rec(Cursor& cur, NodeId nid, const Box& box,
-                 std::vector<PointId>& out) const;
-  void radius_rec(Cursor& cur, NodeId nid, const Point& q, Coord r2,
-                  std::vector<PointId>* out, std::size_t& cnt) const;
-
-  // --- Degraded-mode host fallbacks (recovery.cpp) -----------------------------
-  // Mirror-walk twins of the *_rec recursions: identical pruning and identical
-  // result order (all candidate orders are resolved by unique-minimum
-  // tie-breaks or final sorts), but every step charges CPU work instead of
-  // touching PIM state. Used when a subtree's module is dead.
-  void host_knn_rec(pim::Metrics& led, NodeId nid, const Point& q,
-                    std::vector<Neighbor>& heap, std::size_t k,
-                    double prune) const;
-  void host_dep_rec(pim::Metrics& led, NodeId nid, const Point& q,
-                    double q_prio, PointId self, Neighbor& best) const;
-  void host_range_rec(pim::Metrics& led, NodeId nid, const Box& box,
-                      std::vector<PointId>& out) const;
-  void host_radius_rec(pim::Metrics& led, NodeId nid, const Point& q, Coord r2,
-                       std::vector<PointId>* out, std::size_t& cnt) const;
-  // Modules a query batch may start on: all of them when healthy (so charge
-  // patterns are unchanged), the alive subset when degraded, empty when every
-  // module is dead (full host fallback).
+  // --- Query walks (knn.cpp / range.cpp, machinery in core/walk.hpp) --------
+  // One recursion per query kind, templated on the visit policy: a Cursor
+  // walks the PIM modules, a HostVisit the host mirror. A Cursor that cannot
+  // visit a node (dead module) continues that subtree in the HostVisit
+  // instantiation of the same walk, so pruning, tie-breaks and result order
+  // exist once and degraded results stay exact.
+  template <class V>
+  void knn_walk(V& v, NodeId nid, const Point& q, std::vector<Neighbor>& heap,
+                std::size_t k, double prune) const;
+  template <class V>
+  void dep_walk(V& v, NodeId nid, const Point& q, double q_prio, PointId self,
+                Neighbor& best) const;
+  template <class V>
+  void range_walk(V& v, NodeId nid, const Box& box,
+                  std::vector<PointId>& out) const;
+  template <class V>
+  void radius_walk(V& v, NodeId nid, const Point& q, Coord r2,
+                   std::vector<PointId>* out, std::size_t& cnt) const;
+  // Counts one degraded subtree and returns the host policy charging `led`.
+  HostVisit host_subtree(pim::Metrics& led) const;
+  // The batch driver of every query entry point: walk(v, i) runs query i from
+  // the root under policy v and returns the result words to charge back from
+  // its start module. Starts rotate over query_start_modules(); with every
+  // module dead each query runs wholly on the host.
+  template <class Walk>
+  void run_queries(std::size_t n, std::size_t grain, Walk&& walk);
+  // Modules a query batch may start on: the alive ones (all of them when
+  // healthy; empty when every module is dead).
   std::vector<std::size_t> query_start_modules() const;
 
   std::size_t height_rec(NodeId nid) const;

@@ -8,6 +8,7 @@
 // the underlying knn()/range()/radius()/radius_count() calls produce, in the
 // canonical group order, so a scheduler dispatch and a hand-batched run stay
 // byte-identical.
+#include <algorithm>
 #include <exception>
 #include <stdexcept>
 
@@ -19,115 +20,66 @@ std::vector<Response> PimKdTree::query(std::span<const Request> reqs) {
   std::vector<Response> resp(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) resp[i].kind = reqs[i].kind;
 
-  // Canonical grouping: kNN by (k, eps) in first-appearance order, then
-  // range, then kRadius and kRadiusCount by radius in first-appearance
-  // order. The round/ledger sequence is a pure function of batch contents.
-  struct KnnKey {
-    std::size_t k;
-    double eps;
+  // Canonical grouping: one group per batch call — kNN by (k, eps), all
+  // ranges together, kRadius and kRadiusCount by radius — run kind by kind
+  // in OpKind order (kNN, range, radius, radius_count), the groups of one
+  // kind in first-appearance order. The round/ledger sequence is a pure
+  // function of batch contents.
+  const auto same_call = [](const Request& a, const Request& b) {
+    if (a.kind != b.kind) return false;
+    if (a.kind == OpKind::kKnn) return a.k == b.k && a.eps == b.eps;
+    return a.kind == OpKind::kRange || a.radius == b.radius;
   };
-  std::vector<KnnKey> knn_keys;
-  std::vector<std::vector<std::size_t>> knn_members;
-  std::vector<std::size_t> range_members;
-  std::vector<Coord> radius_keys, rcount_keys;
-  std::vector<std::vector<std::size_t>> radius_members, rcount_members;
-
+  std::vector<std::vector<std::size_t>> groups;  // member indices
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const Request& r = reqs[i];
-    switch (r.kind) {
-      case OpKind::kKnn: {
-        std::size_t g = 0;
-        for (; g < knn_keys.size(); ++g)
-          if (knn_keys[g].k == r.k && knn_keys[g].eps == r.eps) break;
-        if (g == knn_keys.size()) {
-          knn_keys.push_back({r.k, r.eps});
-          knn_members.emplace_back();
-        }
-        knn_members[g].push_back(i);
-        break;
-      }
-      case OpKind::kRange:
-        range_members.push_back(i);
-        break;
-      case OpKind::kRadius: {
-        std::size_t g = 0;
-        for (; g < radius_keys.size(); ++g)
-          if (radius_keys[g] == r.radius) break;
-        if (g == radius_keys.size()) {
-          radius_keys.push_back(r.radius);
-          radius_members.emplace_back();
-        }
-        radius_members[g].push_back(i);
-        break;
-      }
-      case OpKind::kRadiusCount: {
-        std::size_t g = 0;
-        for (; g < rcount_keys.size(); ++g)
-          if (rcount_keys[g] == r.radius) break;
-        if (g == rcount_keys.size()) {
-          rcount_keys.push_back(r.radius);
-          rcount_members.emplace_back();
-        }
-        rcount_members[g].push_back(i);
-        break;
-      }
-      case OpKind::kInsert:
-      case OpKind::kErase:
-        break;  // update kinds pass through untouched (see header)
-    }
+    if (reqs[i].kind == OpKind::kInsert || reqs[i].kind == OpKind::kErase)
+      continue;  // update kinds pass through untouched (see header)
+    auto g = std::ranges::find_if(groups, [&](const auto& members) {
+      return same_call(reqs[members.front()], reqs[i]);
+    });
+    if (g == groups.end()) g = groups.emplace(groups.end());
+    g->push_back(i);
   }
+  std::ranges::stable_sort(groups, {}, [&](const auto& members) {
+    return reqs[members.front()].kind;
+  });
 
-  auto fail_group = [&](const std::vector<std::size_t>& members,
-                        const char* what) {
-    for (const std::size_t i : members) resp[i].error = what;
-  };
-
-  for (std::size_t g = 0; g < knn_keys.size(); ++g) {
-    std::vector<Point> qs;
-    qs.reserve(knn_members[g].size());
-    for (const std::size_t i : knn_members[g]) qs.push_back(reqs[i].point);
-    try {
-      auto res = knn(qs, knn_keys[g].k, knn_keys[g].eps);
-      for (std::size_t j = 0; j < knn_members[g].size(); ++j)
-        resp[knn_members[g][j]].neighbors = std::move(res[j]);
-    } catch (const std::exception& ex) {
-      fail_group(knn_members[g], ex.what());
-    }
-  }
-  if (!range_members.empty()) {
+  // Gather the members' arguments, make the group's batch call, scatter
+  // result j to member j. A call that throws fails its group alone.
+  for (const std::vector<std::size_t>& members : groups) {
+    const Request& key = reqs[members.front()];
+    std::vector<Point> pts;
     std::vector<Box> boxes;
-    boxes.reserve(range_members.size());
-    for (const std::size_t i : range_members) boxes.push_back(reqs[i].box);
-    try {
-      auto res = range(boxes);
-      for (std::size_t j = 0; j < range_members.size(); ++j)
-        resp[range_members[j]].ids = std::move(res[j]);
-    } catch (const std::exception& ex) {
-      fail_group(range_members, ex.what());
+    for (const std::size_t i : members) {
+      if (key.kind == OpKind::kRange)
+        boxes.push_back(reqs[i].box);
+      else
+        pts.push_back(reqs[i].point);
     }
-  }
-  for (std::size_t g = 0; g < radius_keys.size(); ++g) {
-    std::vector<Point> cs;
-    cs.reserve(radius_members[g].size());
-    for (const std::size_t i : radius_members[g]) cs.push_back(reqs[i].point);
+    const auto scatter = [&](auto res, auto field) {
+      for (std::size_t j = 0; j < members.size(); ++j)
+        resp[members[j]].*field = std::move(res[j]);
+    };
     try {
-      auto res = radius(cs, radius_keys[g]);
-      for (std::size_t j = 0; j < radius_members[g].size(); ++j)
-        resp[radius_members[g][j]].ids = std::move(res[j]);
+      switch (key.kind) {
+        case OpKind::kKnn:
+          scatter(knn(pts, key.k, key.eps), &Response::neighbors);
+          break;
+        case OpKind::kRange:
+          scatter(range(boxes), &Response::ids);
+          break;
+        case OpKind::kRadius:
+          scatter(radius(pts, key.radius), &Response::ids);
+          break;
+        case OpKind::kRadiusCount:
+          scatter(radius_count(pts, key.radius), &Response::count);
+          break;
+        case OpKind::kInsert:
+        case OpKind::kErase:
+          break;  // never grouped
+      }
     } catch (const std::exception& ex) {
-      fail_group(radius_members[g], ex.what());
-    }
-  }
-  for (std::size_t g = 0; g < rcount_keys.size(); ++g) {
-    std::vector<Point> cs;
-    cs.reserve(rcount_members[g].size());
-    for (const std::size_t i : rcount_members[g]) cs.push_back(reqs[i].point);
-    try {
-      auto res = radius_count(cs, rcount_keys[g]);
-      for (std::size_t j = 0; j < rcount_members[g].size(); ++j)
-        resp[rcount_members[g][j]].count = res[j];
-    } catch (const std::exception& ex) {
-      fail_group(rcount_members[g], ex.what());
+      for (const std::size_t i : members) resp[i].error = ex.what();
     }
   }
   return resp;

@@ -1,31 +1,24 @@
-// Orthogonal range and radius queries (§4.3, Lemma 4.7) through the Cursor.
+// Orthogonal range and radius queries (§4.3, Lemma 4.7): one walk each,
+// templated on the visit policy (core/walk.hpp).
 #include <algorithm>
 
-#include "core/pim_kdtree.hpp"
-#include "parallel/primitives.hpp"
+#include "core/walk.hpp"
 
 namespace pimkd::core {
 
-void PimKdTree::range_rec(Cursor& cur, NodeId nid, const Box& box,
-                          std::vector<PointId>& out) const {
-  if (!cur.can_visit(nid)) {
-    // Degraded mode: subtree unreachable in-PIM; the host mirror answers
-    // exactly (results are sorted afterwards either way).
-    deg_subtrees_.fetch_add(1, std::memory_order_relaxed);
-    host_range_rec(cur.ledger(), nid, box, out);
-    return;
+template <class V>
+void PimKdTree::range_walk(V& v, NodeId nid, const Box& box,
+                           std::vector<PointId>& out) const {
+  if (!v.can_visit(nid)) {
+    HostVisit host = host_subtree(v.ledger());
+    return range_walk(host, nid, box, out);
   }
-  const std::size_t mark = cur.mark();
-  cur.visit(nid);
+  const VisitScope<V> scope(v, nid);
   const NodeRec& n = pool_.at(nid);
-  if (!box.intersects(n.box, cfg_.dim)) {
-    cur.release(mark);
-    return;
-  }
+  if (!box.intersects(n.box, cfg_.dim)) return;
   if (n.is_leaf()) {
     const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    cur.charge_work(pts.size());
+    v.charge_work(nc.leaf_pts.size());
     // Batched containment test over the SoA mirror (bit-identical to
     // Box::contains per lane); the report loop keeps the scalar order.
     std::uint8_t in[kernels::kScanChunk];
@@ -34,18 +27,16 @@ void PimKdTree::range_rec(Cursor& cur, NodeId nid, const Box& box,
       kernels::leaf_contains(isa_, nc.soa, base, cnt, box.lo.x.data(),
                              box.hi.x.data(), cfg_.dim, in);
       for (std::uint32_t j = 0; j < cnt; ++j) {
-        const PointId id = pts[base + j];
+        const PointId id = nc.leaf_pts[base + j];
         if (alive_[id] && in[j]) out.push_back(id);
       }
     }
-    cur.release(mark);
     return;
   }
   pool_.prefetch(n.left);
   pool_.prefetch(n.right);
-  range_rec(cur, n.left, box, out);
-  range_rec(cur, n.right, box, out);
-  cur.release(mark);
+  range_walk(v, n.left, box, out);
+  range_walk(v, n.right, box, out);
 }
 
 std::vector<std::vector<PointId>> PimKdTree::range(
@@ -54,50 +45,33 @@ std::vector<std::vector<PointId>> PimKdTree::range(
   pim::TraceScope span(sys_.metrics(), "range", boxes.size());
   pim::RoundGuard round(sys_.metrics());
   std::vector<std::vector<PointId>> out(boxes.size());
-  if (root_ == kNoNode) return out;
-  const auto starts = query_start_modules();
-  parallel_for(0, boxes.size(), [&](std::size_t i) {
-    if (starts.empty()) {
-      deg_queries_.fetch_add(1, std::memory_order_relaxed);
-      host_range_rec(sys_.metrics(), root_, boxes[i], out[i]);
-      std::sort(out[i].begin(), out[i].end());
-      return;
-    }
-    const std::size_t start = starts[i % starts.size()];
-    sys_.metrics().add_comm(start, kQueryWords);
-    Cursor cur(cfg_, pool_, store_, sys_.metrics(), start);
-    range_rec(cur, root_, boxes[i], out[i]);
-    // Each reported point crosses off-chip once (result collection).
-    sys_.metrics().add_comm(start, out[i].size());
+  run_queries(boxes.size(), /*grain=*/8, [&](auto& v, std::size_t i) {
+    range_walk(v, root_, boxes[i], out[i]);
     std::sort(out[i].begin(), out[i].end());
-  }, /*grain=*/8);
+    return out[i].size();  // each reported point crosses off-chip once
+  });
   return out;
 }
 
-void PimKdTree::radius_rec(Cursor& cur, NodeId nid, const Point& q, Coord r2,
-                           std::vector<PointId>* out, std::size_t& cnt) const {
-  if (!cur.can_visit(nid)) {
-    deg_subtrees_.fetch_add(1, std::memory_order_relaxed);
-    host_radius_rec(cur.ledger(), nid, q, r2, out, cnt);
-    return;
+template <class V>
+void PimKdTree::radius_walk(V& v, NodeId nid, const Point& q, Coord r2,
+                            std::vector<PointId>* out, std::size_t& cnt) const {
+  if (!v.can_visit(nid)) {
+    HostVisit host = host_subtree(v.ledger());
+    return radius_walk(host, nid, q, r2, out, cnt);
   }
-  const std::size_t mark = cur.mark();
-  cur.visit(nid);
+  const VisitScope<V> scope(v, nid);
   const NodeRec& n = pool_.at(nid);
-  if (!n.box.intersects_ball(q, r2, cfg_.dim)) {
-    cur.release(mark);
-    return;
-  }
+  if (!n.box.intersects_ball(q, r2, cfg_.dim)) return;
   if (n.is_leaf()) {
     const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    cur.charge_work(pts.size());
+    v.charge_work(nc.leaf_pts.size());
     double d2[kernels::kScanChunk];
     for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
       const std::uint32_t c = std::min(kernels::kScanChunk, nc.soa.n - base);
       kernels::leaf_sq_dists(isa_, nc.soa, base, c, q.x.data(), cfg_.dim, d2);
       for (std::uint32_t j = 0; j < c; ++j) {
-        const PointId id = pts[base + j];
+        const PointId id = nc.leaf_pts[base + j];
         if (!alive_[id]) continue;
         if (d2[j] <= r2) {
           ++cnt;
@@ -105,14 +79,12 @@ void PimKdTree::radius_rec(Cursor& cur, NodeId nid, const Point& q, Coord r2,
         }
       }
     }
-    cur.release(mark);
     return;
   }
   pool_.prefetch(n.left);
   pool_.prefetch(n.right);
-  radius_rec(cur, n.left, q, r2, out, cnt);
-  radius_rec(cur, n.right, q, r2, out, cnt);
-  cur.release(mark);
+  radius_walk(v, n.left, q, r2, out, cnt);
+  radius_walk(v, n.right, q, r2, out, cnt);
 }
 
 std::vector<std::vector<PointId>> PimKdTree::radius(
@@ -122,23 +94,12 @@ std::vector<std::vector<PointId>> PimKdTree::radius(
   pim::TraceScope span(sys_.metrics(), "radius", centers.size());
   pim::RoundGuard round(sys_.metrics());
   std::vector<std::vector<PointId>> out(centers.size());
-  if (root_ == kNoNode) return out;
-  const auto starts = query_start_modules();
-  parallel_for(0, centers.size(), [&](std::size_t i) {
+  run_queries(centers.size(), /*grain=*/8, [&](auto& v, std::size_t i) {
     std::size_t cnt = 0;
-    if (starts.empty()) {
-      deg_queries_.fetch_add(1, std::memory_order_relaxed);
-      host_radius_rec(sys_.metrics(), root_, centers[i], r * r, &out[i], cnt);
-      std::sort(out[i].begin(), out[i].end());
-      return;
-    }
-    const std::size_t start = starts[i % starts.size()];
-    sys_.metrics().add_comm(start, kQueryWords);
-    Cursor cur(cfg_, pool_, store_, sys_.metrics(), start);
-    radius_rec(cur, root_, centers[i], r * r, &out[i], cnt);
-    sys_.metrics().add_comm(start, out[i].size());
+    radius_walk(v, root_, centers[i], r * r, &out[i], cnt);
     std::sort(out[i].begin(), out[i].end());
-  }, /*grain=*/8);
+    return out[i].size();
+  });
   return out;
 }
 
@@ -149,21 +110,10 @@ std::vector<std::size_t> PimKdTree::radius_count(
   pim::TraceScope span(sys_.metrics(), "radius_count", centers.size());
   pim::RoundGuard round(sys_.metrics());
   std::vector<std::size_t> out(centers.size(), 0);
-  if (root_ == kNoNode) return out;
-  const auto starts = query_start_modules();
-  parallel_for(0, centers.size(), [&](std::size_t i) {
-    if (starts.empty()) {
-      deg_queries_.fetch_add(1, std::memory_order_relaxed);
-      host_radius_rec(sys_.metrics(), root_, centers[i], r * r, nullptr,
-                      out[i]);
-      return;
-    }
-    const std::size_t start = starts[i % starts.size()];
-    sys_.metrics().add_comm(start, kQueryWords);
-    Cursor cur(cfg_, pool_, store_, sys_.metrics(), start);
-    radius_rec(cur, root_, centers[i], r * r, nullptr, out[i]);
-    sys_.metrics().add_comm(start, 1);  // count travels back
-  }, /*grain=*/8);
+  run_queries(centers.size(), /*grain=*/8, [&](auto& v, std::size_t i) {
+    radius_walk(v, root_, centers[i], r * r, nullptr, out[i]);
+    return 1;  // the count travels back
+  });
   return out;
 }
 

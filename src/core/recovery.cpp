@@ -1,5 +1,4 @@
-// Fault recovery and the distributed-tree integrity checker ("fsck"), plus
-// the degraded-mode host fallbacks for queries.
+// Fault recovery and the distributed-tree integrity checker ("fsck").
 //
 // Recovery model: a crash wipes a module's physical state but the host keeps
 // the authoritative mirror (NodePool + point store) and each node's copy
@@ -10,9 +9,7 @@
 // JSONL trace like any other operation. check_integrity() then cross-checks
 // intent against physical truth.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "core/pim_kdtree.hpp"
@@ -23,16 +20,6 @@ namespace pimkd::core {
 namespace {
 // Bound the problem list so a badly damaged tree doesn't drown the caller.
 constexpr std::size_t kMaxProblems = 32;
-
-struct HeapCmp {
-  bool operator()(const Neighbor& a, const Neighbor& b) const {
-    return a.sq_dist != b.sq_dist ? a.sq_dist < b.sq_dist : a.id < b.id;
-  }
-};
-
-bool higher(double prio, PointId id, double q_prio, PointId self) {
-  return prio > q_prio || (prio == q_prio && id > self);
-}
 }  // namespace
 
 // --- Recovery -----------------------------------------------------------------
@@ -222,163 +209,6 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
   });
 
   return rep;
-}
-
-// --- Degraded-mode host fallbacks ----------------------------------------------
-
-std::vector<std::size_t> PimKdTree::query_start_modules() const {
-  std::vector<std::size_t> out;
-  out.reserve(sys_.P());
-  if (!sys_.dead_module_count()) {
-    for (std::size_t m = 0; m < sys_.P(); ++m) out.push_back(m);
-    return out;
-  }
-  for (std::size_t m = 0; m < sys_.P(); ++m)
-    if (sys_.module_alive(m)) out.push_back(m);
-  return out;
-}
-
-void PimKdTree::host_knn_rec(pim::Metrics& led, NodeId nid, const Point& q,
-                             std::vector<Neighbor>& heap, std::size_t k,
-                             double prune) const {
-  led.add_cpu_work(1);
-  const NodeRec& n = pool_.at(nid);
-  const Coord worst_in = heap.size() < k
-                             ? std::numeric_limits<Coord>::infinity()
-                             : heap.front().sq_dist;
-  // Strict prune on the tie boundary — must mirror knn_rec exactly so the
-  // degraded host path returns byte-identical results (see knn.cpp).
-  if (n.box.sq_dist_to(q, cfg_.dim) * prune > worst_in) return;
-  if (n.is_leaf()) {
-    const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    led.add_cpu_work(pts.size());
-    // Same batched kernel as the in-PIM twin (knn.cpp): distances are
-    // bit-identical per lane, consumption order is the scalar order.
-    double d2[kernels::kScanChunk];
-    for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
-      const std::uint32_t c = std::min(kernels::kScanChunk, nc.soa.n - base);
-      kernels::leaf_sq_dists(isa_, nc.soa, base, c, q.x.data(), cfg_.dim, d2);
-      for (std::uint32_t j = 0; j < c; ++j) {
-        const PointId id = pts[base + j];
-        if (!alive_[id]) continue;
-        const Neighbor cand{id, d2[j]};
-        if (heap.size() < k) {
-          heap.push_back(cand);
-          std::push_heap(heap.begin(), heap.end(), HeapCmp{});
-        } else if (HeapCmp{}(cand, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), HeapCmp{});
-          heap.back() = cand;
-          std::push_heap(heap.begin(), heap.end(), HeapCmp{});
-        }
-      }
-    }
-    return;
-  }
-  pool_.prefetch(n.left);
-  pool_.prefetch(n.right);
-  const bool left_first = q[n.split_dim] < n.split_val;
-  const NodeId first = left_first ? n.left : n.right;
-  const NodeId second = left_first ? n.right : n.left;
-  host_knn_rec(led, first, q, heap, k, prune);
-  const Coord worst = heap.size() < k ? std::numeric_limits<Coord>::infinity()
-                                      : heap.front().sq_dist;
-  if (pool_.at(second).box.sq_dist_to(q, cfg_.dim) * prune <= worst)
-    host_knn_rec(led, second, q, heap, k, prune);
-}
-
-void PimKdTree::host_dep_rec(pim::Metrics& led, NodeId nid, const Point& q,
-                             double q_prio, PointId self,
-                             Neighbor& best) const {
-  led.add_cpu_work(1);
-  const NodeRec& n = pool_.at(nid);
-  const NodeCold& nc = pool_.cold(nid);
-  if (nc.max_priority_id == kInvalidPoint ||
-      !higher(nc.max_priority, nc.max_priority_id, q_prio, self) ||
-      n.box.sq_dist_to(q, cfg_.dim) >= best.sq_dist)
-    return;
-  if (n.is_leaf()) {
-    led.add_cpu_work(nc.leaf_pts.size());
-    double d2s[kernels::kScanChunk];
-    for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
-      const std::uint32_t c = std::min(kernels::kScanChunk, nc.soa.n - base);
-      kernels::leaf_sq_dists(isa_, nc.soa, base, c, q.x.data(), cfg_.dim, d2s);
-      for (std::uint32_t j = 0; j < c; ++j) {
-        const PointId id = nc.leaf_pts[base + j];
-        if (!alive_[id] || !higher(priorities_[id], id, q_prio, self)) continue;
-        const Coord d2 = d2s[j];
-        if (d2 < best.sq_dist || (d2 == best.sq_dist && id < best.id))
-          best = Neighbor{id, d2};
-      }
-    }
-    return;
-  }
-  pool_.prefetch(n.left);
-  pool_.prefetch(n.right);
-  const bool left_first = q[n.split_dim] < n.split_val;
-  const NodeId first = left_first ? n.left : n.right;
-  const NodeId second = left_first ? n.right : n.left;
-  host_dep_rec(led, first, q, q_prio, self, best);
-  if (pool_.at(second).box.sq_dist_to(q, cfg_.dim) < best.sq_dist)
-    host_dep_rec(led, second, q, q_prio, self, best);
-}
-
-void PimKdTree::host_range_rec(pim::Metrics& led, NodeId nid, const Box& box,
-                               std::vector<PointId>& out) const {
-  led.add_cpu_work(1);
-  const NodeRec& n = pool_.at(nid);
-  if (!box.intersects(n.box, cfg_.dim)) return;
-  if (n.is_leaf()) {
-    const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    led.add_cpu_work(pts.size());
-    std::uint8_t in[kernels::kScanChunk];
-    for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
-      const std::uint32_t c = std::min(kernels::kScanChunk, nc.soa.n - base);
-      kernels::leaf_contains(isa_, nc.soa, base, c, box.lo.x.data(),
-                             box.hi.x.data(), cfg_.dim, in);
-      for (std::uint32_t j = 0; j < c; ++j) {
-        const PointId id = pts[base + j];
-        if (alive_[id] && in[j]) out.push_back(id);
-      }
-    }
-    return;
-  }
-  pool_.prefetch(n.left);
-  pool_.prefetch(n.right);
-  host_range_rec(led, n.left, box, out);
-  host_range_rec(led, n.right, box, out);
-}
-
-void PimKdTree::host_radius_rec(pim::Metrics& led, NodeId nid, const Point& q,
-                                Coord r2, std::vector<PointId>* out,
-                                std::size_t& cnt) const {
-  led.add_cpu_work(1);
-  const NodeRec& n = pool_.at(nid);
-  if (!n.box.intersects_ball(q, r2, cfg_.dim)) return;
-  if (n.is_leaf()) {
-    const NodeCold& nc = pool_.cold(nid);
-    const std::vector<PointId>& pts = nc.leaf_pts;
-    led.add_cpu_work(pts.size());
-    double d2[kernels::kScanChunk];
-    for (std::uint32_t base = 0; base < nc.soa.n; base += kernels::kScanChunk) {
-      const std::uint32_t c = std::min(kernels::kScanChunk, nc.soa.n - base);
-      kernels::leaf_sq_dists(isa_, nc.soa, base, c, q.x.data(), cfg_.dim, d2);
-      for (std::uint32_t j = 0; j < c; ++j) {
-        const PointId id = pts[base + j];
-        if (!alive_[id]) continue;
-        if (d2[j] <= r2) {
-          ++cnt;
-          if (out) out->push_back(id);
-        }
-      }
-    }
-    return;
-  }
-  pool_.prefetch(n.left);
-  pool_.prefetch(n.right);
-  host_radius_rec(led, n.left, q, r2, out, cnt);
-  host_radius_rec(led, n.right, q, r2, out, cnt);
 }
 
 }  // namespace pimkd::core

@@ -28,7 +28,7 @@
 // byte-deterministic across PIMKD_THREADS.
 //
 // Wiring: serve::BatchScheduler runs one controller when configured with
-// Policy::kAdaptive, feeding it at epoch boundaries only (reads admitted in
+// controllers.replication, feeding it at epoch boundaries only (reads admitted in
 // an epoch never straddle a mode switch — set_caching_mode bumps the
 // query-visible mutation_epoch). Benches drive it manually.
 #pragma once

@@ -1,6 +1,7 @@
 #include "router/frontend.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -31,8 +32,8 @@ void validate_request(const serve::Request& r, int dim) {
     case core::OpKind::kKnn:
       validate_point(r.point, dim, "router.knn");
       if (r.k == 0) throw std::invalid_argument("router.knn: k must be >= 1");
-      if (!(r.eps >= 0.0))
-        throw std::invalid_argument("router.knn: eps must be >= 0");
+      if (!(std::isfinite(r.eps) && r.eps >= 0.0))
+        throw std::invalid_argument("router.knn: eps must be finite and >= 0");
       break;
     case core::OpKind::kRange:
       validate_box(r.box, dim, "router.range");

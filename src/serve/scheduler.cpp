@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <unordered_set>
@@ -40,8 +41,8 @@ void validate_request(const Request& r, int dim) {
     case OpKind::kKnn:
       validate_point(r.point, dim, "serve.knn");
       if (r.k == 0) throw std::invalid_argument("serve.knn: k must be >= 1");
-      if (!(r.eps >= 0.0))
-        throw std::invalid_argument("serve.knn: eps must be >= 0");
+      if (!(std::isfinite(r.eps) && r.eps >= 0.0))
+        throw std::invalid_argument("serve.knn: eps must be finite and >= 0");
       break;
     case OpKind::kRange:
       validate_box(r.box, dim, "serve.range");
@@ -78,7 +79,7 @@ void SchedulerConfig::validate() const {
   if (pipeline && pipeline_depth == 0)
     throw std::invalid_argument(
         "SchedulerConfig.pipeline_depth: must be >= 1 when pipelining");
-  if (controllers.replication || policy == Policy::kAdaptive)
+  if (controllers.replication)
     core::validate_replication_config(controllers.replication_cfg);
   if (controllers.migration) controllers.migration_cfg.validate();
 }
@@ -113,8 +114,6 @@ BatchScheduler::BatchScheduler(core::PimKdTree& tree, SchedulerConfig cfg)
   if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   if (cfg_.pipeline_depth == 0) cfg_.pipeline_depth = 1;
   cfg_.batch_size = std::min(cfg_.batch_size, cfg_.max_batch);
-  if (cfg_.policy == Policy::kAdaptive)
-    cfg_.controllers.replication = true;  // compatibility alias
   cfg_.validate();
   if (cfg_.controllers.replication)
     controller_ = std::make_unique<core::AdaptiveReplicationController>(
@@ -299,7 +298,6 @@ std::size_t BatchScheduler::target_batch_size() const {
     case Policy::kDeadline:
       return cfg_.max_batch;
     case Policy::kTradeoff:
-    case Policy::kAdaptive:
       return tradeoff_target(tree_.config(), tree_.P(), live_size_locked(),
                              cfg_.batch_size, cfg_.max_batch);
   }
@@ -322,7 +320,6 @@ std::size_t BatchScheduler::due_batch(std::uint64_t now, bool flush_all,
       target = cfg_.max_batch;
       break;
     case Policy::kTradeoff:
-    case Policy::kAdaptive:
       target = tradeoff_target(tree_.config(), tree_.P(), live_size_locked(),
                                cfg_.batch_size, cfg_.max_batch);
       break;

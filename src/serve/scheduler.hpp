@@ -83,8 +83,6 @@ enum class Policy : std::uint8_t {
   kFixedSize,  // dispatch exactly batch_size requests when available
   kDeadline,   // dispatch all pending when the oldest has waited deadline_ticks
   kTradeoff,   // dispatch at the §5-derived target size (deadline fallback)
-  kAdaptive,   // compatibility alias: kTradeoff admission with
-               // controllers.replication forced on (see ControllersConfig)
 };
 
 inline const char* policy_name(Policy p) {
@@ -92,7 +90,6 @@ inline const char* policy_name(Policy p) {
     case Policy::kFixedSize: return "fixed";
     case Policy::kDeadline: return "deadline";
     case Policy::kTradeoff: return "tradeoff";
-    case Policy::kAdaptive: return "adaptive";
   }
   return "?";
 }
@@ -146,8 +143,7 @@ struct SchedulerConfig {
   // Max epochs formed but not yet finalized before FORM blocks (bounds the
   // futures + batches held in flight; stalls counted in pipeline_stalls).
   std::size_t pipeline_depth = 4;
-  // Epoch-boundary controllers (any Policy; kAdaptive forces
-  // controllers.replication on for source compatibility).
+  // Epoch-boundary controllers (any Policy).
   ControllersConfig controllers{};
   // Crash consistency (src/durability/, DESIGN.md §10). When set, every
   // applied write batch is appended to the write-ahead log — and synced per

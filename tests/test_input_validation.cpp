@@ -111,6 +111,60 @@ TEST(InputValidation, RadiusRejectsBadRadii) {
   EXPECT_NO_THROW(tree.radius(qs, 0.0));
 }
 
+TEST(InputValidation, KnnRejectsBadKAndEps) {
+  const auto pts = gen_uniform({.n = 256, .dim = 2, .seed = 5});
+  core::PimKdTree tree(small_cfg(), pts);
+  const std::vector<Point> qs = {pt(0.5, 0.5)};
+  const auto before = tree.metrics().snapshot();
+  // k = 0 used to read the front of an empty heap; a NaN eps made every
+  // "<= worst" descend test false and returned wrong neighbors.
+  expect_rejected([&] { tree.knn(qs, 0); }, "knn: k");
+  expect_rejected([&] { tree.knn(qs, 3, kNaN); }, "knn: eps");
+  expect_rejected([&] { tree.knn(qs, 3, -0.5); }, "knn: eps");
+  expect_rejected([&] { tree.knn(qs, 3, kInf); }, "knn: eps");
+  // Rejected before any round opens: nothing is charged.
+  EXPECT_EQ(tree.metrics().snapshot().rounds, before.rounds);
+  EXPECT_NO_THROW(tree.knn(qs, 1, 0.0));
+}
+
+TEST(InputValidation, DependentPointsRejectsMismatchedSpans) {
+  const auto pts = gen_uniform({.n = 256, .dim = 2, .seed = 6});
+  core::PimKdTree tree(small_cfg(), pts);
+  const std::vector<Point> qs = {pt(0.5, 0.5), pt(0.25, 0.75)};
+  const std::vector<double> qprio = {0.5, 0.5};
+  const std::vector<PointId> self = {0, 1};
+  expect_rejected([&] { tree.dependent_points(qs, qprio, self); },
+                  "dependent_points: priorities");
+  expect_rejected([&] { tree.set_priorities(std::vector<double>(10, 1.0)); },
+                  "set_priorities: priority_by_id");
+  tree.set_priorities(std::vector<double>(pts.size(), 1.0));
+  expect_rejected(
+      [&] { tree.dependent_points(qs, std::span(qprio).first(1), self); },
+      "dependent_points: query_priority");
+  expect_rejected(
+      [&] { tree.dependent_points(qs, qprio, std::span(self).first(1)); },
+      "dependent_points: self_id");
+  EXPECT_NO_THROW(tree.dependent_points(qs, qprio, self));
+}
+
+TEST(InputValidation, QueryFailsOnlyTheInvalidKnnGroup) {
+  const auto pts = gen_uniform({.n = 256, .dim = 2, .seed = 7});
+  core::PimKdTree tree(small_cfg(), pts);
+  const Point q = pt(0.5, 0.5);
+  const std::vector<core::Request> reqs = {core::Request::knn(q, 0),
+                                           core::Request::knn(q, 3),
+                                           core::Request::range(Box::whole(2))};
+  const auto resp = tree.query(reqs);
+  ASSERT_EQ(resp.size(), reqs.size());
+  EXPECT_FALSE(resp[0].ok());
+  EXPECT_NE(resp[0].error.find("k must be >= 1"), std::string::npos)
+      << resp[0].error;
+  ASSERT_TRUE(resp[1].ok()) << resp[1].error;
+  EXPECT_EQ(resp[1].neighbors.size(), 3u);
+  ASSERT_TRUE(resp[2].ok()) << resp[2].error;
+  EXPECT_EQ(resp[2].ids.size(), pts.size());
+}
+
 // --- Config validation, per tree type -------------------------------------------
 
 TEST(ConfigValidation, PimKdTreeRejectsBadFields) {

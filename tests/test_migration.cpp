@@ -442,18 +442,6 @@ TEST(MigrationStatusTwins, SchedulerTryCreateMirrorsValidate) {
   out->stop();
 }
 
-TEST(MigrationStatusTwins, AdaptiveAliasForcesReplicationOnly) {
-  const auto pts = gen_uniform({.n = 1000, .dim = 2, .seed = 11});
-  PimKdTree tree(base_cfg(8), pts);
-  serve::SchedulerConfig sc;
-  sc.policy = serve::Policy::kAdaptive;
-  serve::BatchScheduler sched(tree, sc);
-  EXPECT_NE(sched.replication_controller(), nullptr)
-      << "kAdaptive must keep its historical meaning";
-  EXPECT_EQ(sched.migration_planner(), nullptr);
-  sched.stop();
-}
-
 // --- Scheduler integration ----------------------------------------------------
 
 TEST(MigrationServe, ScheduledHotStreamMigratesAndStaysByteIdentical) {

@@ -325,6 +325,8 @@ TEST(Scheduler, InvalidRequestFailsAlone) {
   auto bad = sched.submit(
       Request::knn(pt(std::numeric_limits<Coord>::quiet_NaN(), 0.5), 3), 0);
   auto bad_k = sched.submit(Request::knn(pts[0], 0), 0);
+  auto bad_eps = sched.submit(
+      Request::knn(pts[0], 3, std::numeric_limits<double>::infinity()), 0);
   auto good = sched.submit(Request::knn(pts[0], 3), 0);
 
   // Malformed requests are rejected at submit — before batching — so they
@@ -334,12 +336,15 @@ TEST(Scheduler, InvalidRequestFailsAlone) {
   ASSERT_EQ(bad_k.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_FALSE(bad_k.get().ok());
+  ASSERT_EQ(bad_eps.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_FALSE(bad_eps.get().ok());
 
   EXPECT_EQ(sched.pump(1), 1u);
   const Response r = good.get();
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.neighbors.size(), 3u);
-  EXPECT_EQ(sched.stats().rejected, 2u);
+  EXPECT_EQ(sched.stats().rejected, 3u);
 }
 
 TEST(Scheduler, InsertIdsRoundTrip) {
@@ -411,7 +416,8 @@ TEST(Scheduler, AdaptivePolicyRunsControllerAtEpochBoundaries) {
   const auto pts = gen_uniform({.n = 4000, .dim = 2, .seed = 17});
   core::PimKdTree tree(cfg, pts);
   SchedulerConfig sc;
-  sc.policy = Policy::kAdaptive;
+  sc.policy = Policy::kTradeoff;
+  sc.controllers.replication = true;
   sc.deadline_ticks = 1;  // dispatch everything pending at each pump
   BatchScheduler sched(tree, sc);
   ASSERT_NE(sched.replication_controller(), nullptr);
