@@ -424,11 +424,12 @@ int main() {
   // Horizontal scale-out (DESIGN.md §12): the same read-heavy Zipfian stream
   // served through a router::Frontend at K=1 and K=4 shards. Identical
   // admission policy on both sides, so the ratio isolates what sharding buys:
-  // smaller per-shard trees plus one pump thread per shard. The gate demands
-  // K=4 sustain >= 1.05x K=1 throughput, but only on hosts with >= 4
-  // hardware cores — on fewer cores the shard pumps time-share and the gate
-  // passes vacuously with a printed caveat (same honesty rule as the
-  // pipelined-engine gate above; EXPERIMENTS.md records it).
+  // smaller per-shard trees plus one thread per active shard in each Router
+  // call. The gate demands K=4 sustain >= 1.05x K=1 throughput, but only on
+  // hosts with >= 4 hardware cores — on fewer cores the shard threads
+  // time-share and the gate passes vacuously with a printed caveat (same
+  // honesty rule as the pipelined-engine gate above; EXPERIMENTS.md records
+  // it).
   if (!migration_only) {
     WorkloadSpec spec = mix_spec(MixKind::kReadHeavy);
     spec.initial_points = n;
@@ -450,7 +451,6 @@ int main() {
       fc.policy = Policy::kFixedSize;
       fc.batch_size = 256;
       fc.max_batch = 4096;
-      fc.parallel_pump = true;
       router::Frontend fe(router, fc);
 
       const std::uint64_t t0 = now_ns();
@@ -493,8 +493,7 @@ int main() {
           .set("slo_p99_us", slo_p99_us)
           .set("slo_ok", double(h.percentile(99)) / 1000.0 <= slo_p99_us);
       rep.add_row(row);
-      if (st.completed + st.rejected != st.submitted ||
-          st.shards.completed + st.shards.rejected != st.shards.submitted) {
+      if (st.completed + st.rejected != st.submitted) {
         std::printf("LOST REQUESTS (%s)\n", name.c_str());
         return 1;
       }
@@ -507,7 +506,7 @@ int main() {
     const bool gate_ok = vacuous || router_speedup >= gate_floor;
     if (vacuous)
       std::printf(
-          "router gate vacuous: %u hardware core(s); the K=4 shard pumps "
+          "router gate vacuous: %u hardware core(s); the K=4 shard threads "
           "time-share the host, so no scale-out speedup is claimable here "
           "(measured %.2fx).\n",
           cores, router_speedup);

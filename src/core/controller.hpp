@@ -1,9 +1,8 @@
 // Unified epoch-boundary controller API (DESIGN.md §13).
 //
 // Every feedback loop the serving stack runs between epochs — adaptive
-// replication (core/replication.hpp), skew-resistant subtree migration
-// (core/migration.hpp), the router's automatic split-shard policy
-// (router/frontend.hpp) — follows the same shape:
+// replication (core/replication.hpp) and skew-resistant subtree migration
+// (core/migration.hpp) — follows the same shape:
 //
 //   observe  — sample thread-invariant ledger totals (pim::LoadReport and
 //              friends: sums of commutative adds, byte-identical across
@@ -29,7 +28,7 @@ class EpochController {
  public:
   virtual ~EpochController() = default;
 
-  // Trace-span / stats label ("replication", "migration", "reshard", ...).
+  // Trace-span / stats label ("replication", "migration").
   virtual const char* name() const = 0;
 
   struct Outcome {

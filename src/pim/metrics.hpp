@@ -71,7 +71,7 @@ struct Snapshot {
 };
 
 // Per-module load sample: the public vocabulary every epoch-boundary
-// controller (replication, migration, router auto-reshard) and bench speaks,
+// controller (replication, migration) and bench speaks,
 // instead of each reading raw ledger counters. Values are lifetime totals —
 // sums of commutative adds, so thread-count invariant; controllers that want
 // per-epoch activity keep the previous report and call delta_since().

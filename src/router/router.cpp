@@ -141,7 +141,7 @@ std::pair<std::size_t, PointId> Router::locate(PointId gid) const {
 void Router::for_shards(const std::vector<std::size_t>& active,
                         const std::function<void(std::size_t)>& fn) const {
   if (active.empty()) return;
-  if (active.size() == 1 || !cfg_.parallel_shards) {
+  if (active.size() == 1) {
     for (std::size_t s : active) fn(s);
     return;
   }
@@ -227,21 +227,15 @@ void Router::erase(std::span<const PointId> gids) {
   if (!gids.empty()) ++epoch_;
 }
 
-PointId Router::bind_inserted(std::size_t s, PointId local) {
-  const PointId gid = static_cast<PointId>(id_map_.size());
-  id_map_.push_back(Loc{static_cast<std::uint32_t>(s), local});
-  if (local >= shards_[s].local_to_global.size())
-    shards_[s].local_to_global.resize(local + 1, kInvalidPoint);
-  shards_[s].local_to_global[local] = gid;
-  return gid;
-}
-
-std::vector<core::Response> Router::query(
-    std::span<const core::Request> reqs) {
+std::vector<core::Response> Router::query(std::span<const core::Request> reqs,
+                                          Fanout* fanout) {
   if (shards_.size() == 1) {
     // Pass-through: one sub-batch in submission order through the single
     // tree's canonical grouping path; local ids == global ids. Like
     // PimKdTree::query(), epoch stays 0 — the serving layer stamps it.
+    if (fanout)
+      for (const core::Request& q : reqs)
+        if (!core::is_update(q.kind)) ++fanout->single_shard_reads;
     return shards_[0].tree->query(reqs);
   }
 
@@ -338,7 +332,15 @@ std::vector<core::Response> Router::query(
   // merge so the tie-break order is the global one.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     core::Response& o = out[i];
-    if (core::is_update(o.kind) || !o.error.empty()) continue;
+    if (core::is_update(o.kind)) continue;
+    if (fanout) {
+      if (targets[i].size() + targets2[i].size() <= 1)
+        ++fanout->single_shard_reads;
+      else
+        ++fanout->fanout_reads;
+      if (!targets2[i].empty()) ++fanout->knn_second_phase;
+    }
+    if (!o.error.empty()) continue;
     // First shard error (in shard fan-out order) wins, like a failing group
     // inside tree.query() fails its members.
     const auto gather_error = [&](const std::vector<Target>& tg,

@@ -2,9 +2,8 @@
 // routing tier (DESIGN.md §12).
 //
 // One PimKdTree models one host + P PIM modules; a Router runs K of them —
-// each with its own cost ledger, trace sink and (via router::Frontend) its
-// own serve::BatchScheduler and durability generation — behind a
-// SpacePartition that owns the shard boundaries. The router speaks the same
+// each with its own cost ledger and trace sink — behind a SpacePartition
+// that owns the shard boundaries. The router speaks the same
 // request vocabulary as the tree (core/query.hpp), so serve layers and
 // benches run unmodified against either backend:
 //
@@ -32,8 +31,8 @@
 // that shard's batches. Determinism: sub-batches preserve submission order,
 // per-shard execution charges only that shard's ledger, and every merge is
 // by a total order — so results, per-shard ledgers and traces are invariant
-// under PIMKD_THREADS and under shard execution order (shards may execute
-// their sub-batches concurrently; see RouterConfig::parallel_shards).
+// under PIMKD_THREADS and under shard execution order (shards execute their
+// sub-batches concurrently, one thread per active shard).
 //
 // Resharding: split_shard(s) picks the median split plane over shard s's
 // live points, materializes a new shard from the right half (the same
@@ -63,11 +62,6 @@ struct RouterConfig {
   std::size_t shards = 1;
   // Cap on the deterministic stride sample the partition is planned from.
   std::size_t sample_cap = 4096;
-  // Execute per-shard sub-batches on one thread per shard (each shard only
-  // touches its own tree and ledger, so results and per-shard ledgers are
-  // identical either way; this buys wall-clock only). Single-shard batches
-  // always run inline.
-  bool parallel_shards = true;
   // Per-shard tree configuration. trace_path acts as a stem: shard s writes
   // to trace_path + ".shard<s>" (single-tree runs use the path as-is, so a
   // K=1 trace is byte-comparable to a bare tree's).
@@ -113,9 +107,6 @@ class Router {
   // (shard, local id) of a global id; {shards(), kInvalidPoint} when gid was
   // never assigned.
   std::pair<std::size_t, PointId> locate(PointId gid) const;
-  PointId to_global(std::size_t s, PointId local) const {
-    return shards_[s].local_to_global[local];
-  }
   // Total global ids ever assigned (live + dead).
   std::size_t next_point_id() const { return id_map_.size(); }
 
@@ -126,20 +117,19 @@ class Router {
   void erase(std::span<const PointId> gids);
 
   // --- Scatter/gather reads --------------------------------------------------
+  // How one query() call fanned out, per read request.
+  struct Fanout {
+    std::uint64_t single_shard_reads = 0;  // answered by at most one shard
+    std::uint64_t fanout_reads = 0;        // scattered to >= 2 shards
+    std::uint64_t knn_second_phase = 0;    // kNNs that needed a second round
+  };
   // Mirrors PimKdTree::query(): read kinds execute (each shard's sub-batch
   // goes through the shard tree's canonical grouping path, in submission
   // order), update kinds are returned untouched. Response ids/neighbors are
   // global; epoch stays 0, stamped by the serving layer (router::Frontend).
-  std::vector<core::Response> query(std::span<const core::Request> reqs);
-
-  // --- Serve-tier hooks (router::Frontend) -----------------------------------
-  // Registers a shard-local insert performed through a per-shard scheduler
-  // and returns the global id it was assigned. `local` must be the next
-  // local id of shard s (ids arrive in per-shard submission order).
-  PointId bind_inserted(std::size_t s, PointId local);
-  // Bumps the router mutation epoch (the frontend calls this once per
-  // applied update batch, mirroring what insert()/erase() do internally).
-  void note_update() { ++epoch_; }
+  // When `fanout` is set, this call's counts are added to it.
+  std::vector<core::Response> query(std::span<const core::Request> reqs,
+                                    Fanout* fanout = nullptr);
 
   // --- Resharding ------------------------------------------------------------
   struct ReshardReport {
@@ -168,8 +158,8 @@ class Router {
 
   core::PimKdConfig shard_cfg(std::size_t s) const;
   // Runs fn(s) for every shard in `active` — concurrently (one thread per
-  // shard) when cfg_.parallel_shards and more than one shard is active,
-  // inline otherwise. Rethrows the first exception.
+  // shard) when more than one shard is active, inline otherwise. Rethrows
+  // the first exception.
   void for_shards(const std::vector<std::size_t>& active,
                   const std::function<void(std::size_t)>& fn) const;
 

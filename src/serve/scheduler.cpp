@@ -13,49 +13,11 @@ namespace pimkd::serve {
 
 namespace {
 
-// Submit stamps are producer-provided and may lag the consumer tick (or the
-// wall clock may be read on another core), so latency differences saturate
-// at 0 instead of wrapping. Consumer-tick monotonicity itself is enforced in
-// pump_guarded — garbage ages from a backwards *pump* tick are a rejected
-// call, not a saturated subtraction.
-std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : 0;
-}
-
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void validate_request(const Request& r, int dim) {
-  switch (r.kind) {
-    case OpKind::kInsert:
-      validate_point(r.point, dim, "serve.insert");
-      break;
-    case OpKind::kErase:
-      if (r.id == kInvalidPoint)
-        throw std::invalid_argument("serve.erase: invalid point id");
-      break;
-    case OpKind::kKnn:
-      validate_point(r.point, dim, "serve.knn");
-      if (r.k == 0) throw std::invalid_argument("serve.knn: k must be >= 1");
-      if (!(std::isfinite(r.eps) && r.eps >= 0.0))
-        throw std::invalid_argument("serve.knn: eps must be finite and >= 0");
-      break;
-    case OpKind::kRange:
-      validate_box(r.box, dim, "serve.range");
-      break;
-    case OpKind::kRadius:
-      validate_point(r.point, dim, "serve.radius");
-      validate_radius(r.radius, "serve.radius");
-      break;
-    case OpKind::kRadiusCount:
-      validate_point(r.point, dim, "serve.radius_count");
-      validate_radius(r.radius, "serve.radius_count");
-      break;
-  }
 }
 
 }  // namespace
@@ -84,36 +46,14 @@ void SchedulerConfig::validate() const {
   if (controllers.migration) controllers.migration_cfg.validate();
 }
 
-void ServeStats::merge(const ServeStats& o) {
-  submitted += o.submitted;
-  completed += o.completed;
-  rejected += o.rejected;
-  batches += o.batches;
-  epochs += o.epochs;
-  reads += o.reads;
-  updates += o.updates;
-  mode_switches += o.mode_switches;
-  migrations += o.migrations;
-  dispatch_size += o.dispatch_size;
-  dispatch_deadline += o.dispatch_deadline;
-  dispatch_flush += o.dispatch_flush;
-  ticks_rejected += o.ticks_rejected;
-  clock_regressions += o.clock_regressions;
-  read_straddles += o.read_straddles;
-  pipeline_stalls += o.pipeline_stalls;
-  wal_frames += o.wal_frames;
-  wal_failures += o.wal_failures;
-  checkpoints += o.checkpoints;
-  queue_latency.merge(o.queue_latency);
-  service_latency.merge(o.service_latency);
-}
-
 BatchScheduler::BatchScheduler(core::PimKdTree& tree, SchedulerConfig cfg)
-    : tree_(tree), cfg_(std::move(cfg)) {
-  if (cfg_.batch_size == 0) cfg_.batch_size = 1;
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
+    : tree_(tree),
+      cfg_(std::move(cfg)),
+      adm_("serve", tree_.config().dim, cfg_.policy, cfg_.batch_size,
+           cfg_.deadline_ticks, cfg_.max_batch) {
+  cfg_.batch_size = adm_.batch_size();
+  cfg_.max_batch = adm_.max_batch();
   if (cfg_.pipeline_depth == 0) cfg_.pipeline_depth = 1;
-  cfg_.batch_size = std::min(cfg_.batch_size, cfg_.max_batch);
   cfg_.validate();
   if (cfg_.controllers.replication)
     controller_ = std::make_unique<core::AdaptiveReplicationController>(
@@ -151,35 +91,9 @@ BatchScheduler::~BatchScheduler() {
   }
 }
 
-void BatchScheduler::reject(Request&& r, std::uint64_t now_tick,
-                            const char* why) {
-  Response resp;
-  resp.kind = r.kind;
-  resp.error = why;
-  resp.submit_tick = now_tick;
-  resp.dispatch_tick = now_tick;
-  resp.complete_tick = now_tick;
-  r.promise.set_value(std::move(resp));
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::future<Response> BatchScheduler::submit(Request r,
                                              std::uint64_t now_tick) {
-  r.submit_tick = now_tick;
-  std::future<Response> fut = r.promise.get_future();
-  try {
-    validate_request(r, tree_.config().dim);
-  } catch (const std::exception& ex) {
-    reject(std::move(r), now_tick, ex.what());
-    return fut;
-  }
-  if (closed_.load(std::memory_order_acquire)) {
-    reject(std::move(r), now_tick, "serve: scheduler stopped");
-    return fut;
-  }
-  queue_.push(std::move(r));
-  submitted_.fetch_add(1, std::memory_order_release);
-  return fut;
+  return adm_.submit(std::move(r), now_tick);
 }
 
 std::size_t BatchScheduler::pump(std::uint64_t now_tick) {
@@ -209,37 +123,19 @@ Status BatchScheduler::pump_guarded(std::uint64_t now, bool flush_all,
                                     std::size_t* out) {
   if (out) *out = 0;
   std::lock_guard<std::mutex> lk(mu_);
-  if (now < last_pump_tick_) {
-    // A backwards consumer tick would make every queued request look
-    // infinitely old (sat_sub clamps to 0 but deadline comparisons still
-    // misfire) — reject instead of computing garbage ages.
-    ticks_rejected_.fetch_add(1, std::memory_order_relaxed);
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  "serve: non-monotonic consumer tick %llu < %llu",
-                  static_cast<unsigned long long>(now),
-                  static_cast<unsigned long long>(last_pump_tick_));
-    return Status::Error(StatusCode::kFailedPrecondition, buf);
-  }
+  const Status s = adm_.advance(now);
+  if (!s.ok()) return s;
   const std::size_t n = pump_locked(now, flush_all);
   if (out) *out = n;
   return Status::Ok();
 }
 
 std::size_t BatchScheduler::pump_locked(std::uint64_t now, bool flush_all) {
-  last_pump_tick_ = now;
   if (cfg_.pipeline) init_projection_locked();
-  Request r;
-  while (queue_.pop(r)) {
-    const std::uint64_t t = r.submit_tick;
-    while (!oldest_.empty() && oldest_.back() > t) oldest_.pop_back();
-    oldest_.push_back(t);
-    pending_.push_back(std::move(r));
-  }
   std::size_t total = 0;
   for (;;) {
     char reason = '?';
-    const std::size_t take = due_batch(now, flush_all, reason);
+    const std::size_t take = adm_.due(now, flush_all, target_locked(), reason);
     if (take == 0) break;
     std::shared_ptr<EpochTask> t = form_task(take, now, reason);
     if (cfg_.pipeline) {
@@ -292,54 +188,13 @@ void BatchScheduler::init_projection_locked() {
 
 std::size_t BatchScheduler::target_batch_size() const {
   std::lock_guard<std::mutex> lk(mu_);
-  switch (cfg_.policy) {
-    case Policy::kFixedSize:
-      return cfg_.batch_size;
-    case Policy::kDeadline:
-      return cfg_.max_batch;
-    case Policy::kTradeoff:
-      return tradeoff_target(tree_.config(), tree_.P(), live_size_locked(),
-                             cfg_.batch_size, cfg_.max_batch);
-  }
-  return cfg_.batch_size;
+  return target_locked();
 }
 
-std::size_t BatchScheduler::due_batch(std::uint64_t now, bool flush_all,
-                                      char& reason) const {
-  if (pending_.empty()) return 0;
-  if (flush_all) {
-    reason = 'f';
-    return std::min(pending_.size(), cfg_.max_batch);
-  }
-  std::size_t target = cfg_.max_batch;
-  switch (cfg_.policy) {
-    case Policy::kFixedSize:
-      target = cfg_.batch_size;
-      break;
-    case Policy::kDeadline:
-      target = cfg_.max_batch;
-      break;
-    case Policy::kTradeoff:
-      target = tradeoff_target(tree_.config(), tree_.P(), live_size_locked(),
-                               cfg_.batch_size, cfg_.max_batch);
-      break;
-  }
-  if (pending_.size() >= target) {
-    reason = 's';
-    return target;
-  }
-  if (cfg_.deadline_ticks > 0 || cfg_.policy == Policy::kDeadline) {
-    // Oldest-waiter deadline (deadline_ticks == 0 under kDeadline means
-    // "dispatch whatever is pending on every pump"). oldest_.front() is the
-    // minimum submit tick over all of pending_, not the queue-order front —
-    // producers can interleave out of tick order, and the batch is due on
-    // the tick the true oldest waiter reaches the deadline.
-    if (sat_sub(now, oldest_.front()) >= cfg_.deadline_ticks) {
-      reason = 'd';
-      return std::min(pending_.size(), cfg_.max_batch);
-    }
-  }
-  return 0;
+std::size_t BatchScheduler::target_locked() const {
+  if (cfg_.policy != Policy::kTradeoff) return adm_.size_target();
+  return tradeoff_target(tree_.config(), tree_.P(), live_size_locked(),
+                         cfg_.batch_size, cfg_.max_batch);
 }
 
 std::shared_ptr<BatchScheduler::EpochTask> BatchScheduler::form_task(
@@ -348,13 +203,7 @@ std::shared_ptr<BatchScheduler::EpochTask> BatchScheduler::form_task(
   t->form_tick = now;
   t->log.tick = now;
   t->log.reason = reason;
-  t->batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    t->batch.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-    if (!oldest_.empty() && oldest_.front() == t->batch.back().submit_tick)
-      oldest_.pop_front();
-  }
+  t->batch = adm_.take(take);
   t->resp.resize(t->batch.size());
   for (std::size_t i = 0; i < t->batch.size(); ++i) {
     t->resp[i].kind = t->batch[i].kind;
@@ -669,7 +518,7 @@ void BatchScheduler::finalize_task(EpochTask& t, std::uint64_t done) {
       default: break;
     }
     stats_.completed += t.batch.size();
-    if (cfg_.record_batches) log_.push_back(t.log);
+    log_.push_back(t.log);
   }
   for (const std::uint32_t i : t.updates)
     t.batch[i].promise.set_value(std::move(t.resp[i]));
@@ -715,7 +564,7 @@ void BatchScheduler::background_loop() {
 }
 
 void BatchScheduler::stop() {
-  closed_.store(true, std::memory_order_release);
+  adm_.close();
   if (worker_.joinable()) {
     stop_worker_.store(true, std::memory_order_release);
     worker_.join();
@@ -725,8 +574,9 @@ void BatchScheduler::stop() {
   std::uint64_t drain_tick = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    drain_tick = last_pump_tick_;
+    drain_tick = adm_.last_tick();
     if (cfg_.clock) drain_tick = std::max(drain_tick, cfg_.clock());
+    (void)adm_.advance(drain_tick);  // never behind last_tick(): cannot fail
     pump_locked(drain_tick, /*flush_all=*/true);
   }
   if (exec_stage_) exec_stage_->stop();
@@ -737,9 +587,7 @@ void BatchScheduler::stop() {
     (void)cfg_.durability->sync();
   // Safety net for submissions that raced the close: resolve, never leak a
   // broken promise.
-  Request r;
-  while (queue_.pop(r))
-    reject(std::move(r), drain_tick, "serve: scheduler stopped");
+  adm_.reject_queued(drain_tick);
 }
 
 std::uint64_t BatchScheduler::epoch() const {
@@ -750,9 +598,9 @@ std::uint64_t BatchScheduler::epoch() const {
 ServeStats BatchScheduler::stats() const {
   std::lock_guard<std::mutex> lk(state_mu_);
   ServeStats s = stats_;
-  s.submitted = submitted_.load(std::memory_order_acquire);
-  s.rejected = rejected_.load(std::memory_order_acquire);
-  s.ticks_rejected = ticks_rejected_.load(std::memory_order_relaxed);
+  s.submitted = adm_.submitted();
+  s.rejected = adm_.rejected();
+  s.ticks_rejected = adm_.ticks_rejected();
   s.clock_regressions = clock_regressions_.load(std::memory_order_relaxed);
   s.read_straddles = read_straddles_.load(std::memory_order_relaxed);
   s.pipeline_stalls = pipeline_stalls_.load(std::memory_order_relaxed);

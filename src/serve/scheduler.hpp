@@ -5,7 +5,8 @@
 // someone must decide when and how to form the batches. This scheduler:
 //
 //   * accepts single Insert/Erase/Knn/Range/Radius ops from any number of
-//     client threads through a lock-free MPSC queue, one future per request;
+//     client threads through a lock-free MPSC queue, one future per request
+//     (serve::Admission, shared with router::Frontend);
 //   * drains the queue and forms batches under a pluggable policy —
 //     fixed-size, oldest-waiter deadline, or the §5-aware "tradeoff" policy
 //     that targets the batch size at which the Theorem-5.1 communication/
@@ -58,7 +59,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -71,28 +71,13 @@
 #include "core/pim_kdtree.hpp"
 #include "core/replication.hpp"
 #include "durability/manager.hpp"
-#include "parallel/mpsc_queue.hpp"
 #include "parallel/stage_queue.hpp"
 #include "pim/status.hpp"
+#include "serve/admission.hpp"
 #include "serve/request.hpp"
 #include "util/latency_histogram.hpp"
 
 namespace pimkd::serve {
-
-enum class Policy : std::uint8_t {
-  kFixedSize,  // dispatch exactly batch_size requests when available
-  kDeadline,   // dispatch all pending when the oldest has waited deadline_ticks
-  kTradeoff,   // dispatch at the §5-derived target size (deadline fallback)
-};
-
-inline const char* policy_name(Policy p) {
-  switch (p) {
-    case Policy::kFixedSize: return "fixed";
-    case Policy::kDeadline: return "deadline";
-    case Policy::kTradeoff: return "tradeoff";
-  }
-  return "?";
-}
 
 // The epoch-boundary controllers (core/controller.hpp) this scheduler runs
 // after each epoch's updates are applied, in declaration order: replication
@@ -126,8 +111,6 @@ struct SchedulerConfig {
   std::uint64_t deadline_ticks = 0;
   // Hard cap on a single dispatch (all policies).
   std::size_t max_batch = 8192;
-  // Keep the per-batch BatchLog history (sizes + op mixes; tests/benches).
-  bool record_batches = true;
   // Completion-time clock. When set, completion ticks and service latency
   // re-read it after execution (wall-clock mode; reads from a pipelined
   // epoch complete earlier than its writes); when null, completion ticks
@@ -200,22 +183,6 @@ struct ServeStats {
   std::uint64_t checkpoints = 0;        // cadence checkpoints taken
   util::LatencyHistogram queue_latency;    // submit -> dispatch, ticks
   util::LatencyHistogram service_latency;  // submit -> completion, ticks
-
-  // Folds another scheduler instance's stats into this one — the aggregation
-  // a multi-instance deployment (router::Frontend) reports. Merge rules:
-  //   * event counters (submitted..checkpoints) SUM — each field counts
-  //     events that happened on exactly one instance, so the sum is the
-  //     fleet-wide event count. That includes the per-instance fields that
-  //     are NOT interchangeable across instances: `epochs` sums each
-  //     instance's own update-boundary crossings (it is not a shared epoch
-  //     number — the router's epoch is reported separately), `wal_frames`
-  //     sums across per-shard WALs (each shard has its own log generation),
-  //     `mode_switches` sums per-instance controller decisions, and
-  //     `ticks_rejected` sums per-instance consumer-clock violations;
-  //   * latency histograms merge bucket-wise (util::LatencyHistogram::merge),
-  //     so fleet percentiles come from the pooled sample, never from
-  //     averaging per-instance percentiles.
-  void merge(const ServeStats& o);
 };
 
 class BatchScheduler {
@@ -307,8 +274,7 @@ class BatchScheduler {
 
   Status pump_guarded(std::uint64_t now, bool flush_all, std::size_t* out);
   std::size_t pump_locked(std::uint64_t now, bool flush_all);
-  // Size of the batch due now (0 = none); sets `reason`.
-  std::size_t due_batch(std::uint64_t now, bool flush_all, char& reason) const;
+  std::size_t target_locked() const;     // the size trigger in force
   std::size_t live_size_locked() const;  // projection (pipelined) or tree
   void init_projection_locked();
   std::shared_ptr<EpochTask> form_task(std::size_t take, std::uint64_t now,
@@ -327,17 +293,11 @@ class BatchScheduler {
   static void fail_requests(EpochTask& t,
                             const std::vector<std::uint32_t>& idx,
                             const char* why);
-  void reject(Request&& r, std::uint64_t now_tick, const char* why);
   void background_loop();
 
   core::PimKdTree& tree_;
   SchedulerConfig cfg_;
 
-  MpscQueue<Request> queue_;
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> ticks_rejected_{0};
   std::atomic<std::uint64_t> clock_regressions_{0};
   std::atomic<std::uint64_t> read_straddles_{0};
   std::atomic<std::uint64_t> pipeline_stalls_{0};
@@ -346,13 +306,10 @@ class BatchScheduler {
   // be recovered, so applying it would silently widen the durability gap).
   std::atomic<bool> wal_failed_{false};
 
-  // Formation state (consumer side), guarded by mu_.
+  // Formation state (consumer side), guarded by mu_: Admission's consumer
+  // side, plus the pipelined projection.
   mutable std::mutex mu_;
-  std::deque<Request> pending_;
-  // Sliding-window minimum of pending submit ticks (the "oldest waiter"):
-  // monotone deque, O(1) amortized per push/pop.
-  std::deque<std::uint64_t> oldest_;
-  std::uint64_t last_pump_tick_ = 0;
+  Admission adm_;
   // Pipelined FORM's mirror of the live set: what tree_.size() /
   // next_point_id() will be once every formed batch has been applied.
   bool proj_init_ = false;

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -431,36 +432,6 @@ TEST(RouterReshard, SplitShardPreservesEveryAnswer) {
   EXPECT_THROW(tiny.split_shard(7), std::invalid_argument);
 }
 
-// --- ServeStats::merge (satellite) --------------------------------------------
-
-TEST(ServeStatsMerge, CountersSumAndHistogramsPool) {
-  serve::ServeStats a, b;
-  a.submitted = 10;
-  a.epochs = 3;
-  a.wal_frames = 2;
-  a.mode_switches = 1;
-  a.ticks_rejected = 4;
-  a.queue_latency.record(100);
-  b.submitted = 5;
-  b.epochs = 8;
-  b.wal_frames = 9;
-  b.mode_switches = 2;
-  b.ticks_rejected = 1;
-  b.queue_latency.record(200);
-  b.queue_latency.record(300);
-  a.merge(b);
-  EXPECT_EQ(a.submitted, 15u);
-  // Per-instance fields sum as event counts (documented merge rule): the
-  // result is "boundary crossings across the fleet", not a shared epoch.
-  EXPECT_EQ(a.epochs, 11u);
-  EXPECT_EQ(a.wal_frames, 11u);
-  EXPECT_EQ(a.mode_switches, 3u);
-  EXPECT_EQ(a.ticks_rejected, 5u);
-  EXPECT_EQ(a.queue_latency.count(), 3u);
-  EXPECT_EQ(a.queue_latency.max(), 300u);
-  EXPECT_EQ(a.queue_latency.min(), 100u);
-}
-
 // --- Frontend -----------------------------------------------------------------
 
 serve::ServeWorkload frontend_workload(std::size_t requests = 900,
@@ -612,8 +583,77 @@ TEST(Frontend, StopResolvesEverythingAndRejectsLateSubmits) {
   // Malformed requests fail alone, immediately, with a named op.
   auto bad = fe.submit(serve::Request::knn(initial[0], 0), 100);
   EXPECT_NE(bad.get().error.find("router.knn"), std::string::npos);
-  // The merged per-shard fold counts what the shard schedulers saw.
-  EXPECT_EQ(st.shards.completed, st.shards.submitted);
+}
+
+TEST(Frontend, ZeroSizedFieldsClampLikeTheScheduler) {
+  // BatchScheduler clamps zero batch_size / max_batch to 1; the frontend
+  // shares its admission, so the same configs must serve every request (a
+  // zero max_batch used to leave every future with a broken promise).
+  const auto initial = gen_uniform({.n = 200, .dim = 2, .seed = 93});
+  for (const bool zero_max : {true, false}) {
+    Router router(router_cfg(2), initial);
+    FrontendConfig fc;
+    if (zero_max)
+      fc.max_batch = 0;
+    else
+      fc.batch_size = 0;
+    std::vector<std::future<serve::Response>> futs;
+    {
+      Frontend fe(router, fc);
+      for (std::size_t i = 0; i < 3; ++i)
+        futs.push_back(fe.submit(serve::Request::knn(initial[i], 4), i));
+      // A batch of one is due on every pump: nothing waits for the flush.
+      EXPECT_EQ(fe.pump(3), 3u) << "zero_max=" << zero_max;
+      fe.flush(4);
+      fe.stop();
+    }
+    for (auto& f : futs) EXPECT_TRUE(f.get().ok()) << "zero_max=" << zero_max;
+  }
+}
+
+TEST(Frontend, FanoutCountersMatchParent) {
+  // Golden fan-out counts on frontend_workload(), recorded before the
+  // counting moved from the frontend into Router::query.
+  struct Want {
+    std::size_t K;
+    std::uint64_t single, fanout, second;
+  };
+  const serve::ServeWorkload w = frontend_workload();
+  for (const Want& want : {Want{1, 594, 0, 0}, Want{2, 567, 27, 14},
+                           Want{4, 544, 50, 31}}) {
+    Router router(router_cfg(want.K), w.initial);
+    FrontendConfig fc;
+    fc.policy = serve::Policy::kFixedSize;
+    fc.batch_size = 48;
+    fc.max_batch = 512;
+    Frontend fe(router, fc);
+    for (const serve::WorkloadOp& op : w.ops) {
+      (void)fe.submit(serve::to_request(op), op.tick);
+      fe.pump(op.tick);
+    }
+    fe.flush(w.ops.back().tick + 1);
+    const FrontendStats st = fe.stats();
+    EXPECT_EQ(st.reads, 594u) << "K=" << want.K;
+    EXPECT_EQ(st.single_shard_reads, want.single) << "K=" << want.K;
+    EXPECT_EQ(st.fanout_reads, want.fanout) << "K=" << want.K;
+    EXPECT_EQ(st.knn_second_phase, want.second) << "K=" << want.K;
+  }
+}
+
+TEST(FrontendConfigValidation, TradeoffPolicyIsANamedFieldError) {
+  const auto initial = gen_uniform({.n = 200, .dim = 2, .seed = 94});
+  Router router(router_cfg(2), initial);
+  FrontendConfig fc;
+  fc.policy = serve::Policy::kTradeoff;
+  try {
+    Frontend fe(router, fc);
+    FAIL() << "kTradeoff was accepted";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_EQ(std::string(ex.what()).rfind("FrontendConfig.policy:", 0), 0u)
+        << ex.what();
+  }
+  fc.policy = serve::Policy::kDeadline;
+  EXPECT_NO_THROW({ Frontend ok(router, fc); });
 }
 
 TEST(Frontend, CompletionClockStampsAfterExecution) {
