@@ -68,6 +68,23 @@ void BM_PkdBatchInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_PkdBatchInsert);
 
+// The PIM-kd-tree's host cost for the same batch size: insert 1024 points,
+// then erase them, so the tree keeps its size across iterations. Items are
+// points updated (2048 per iteration).
+void BM_PimKdInsertErase(benchmark::State& state) {
+  core::PimKdConfig cfg;
+  cfg.dim = 2;
+  cfg.system.num_modules = 64;
+  core::PimKdTree tree(cfg, data(1 << 15));
+  const auto batch = gen_uniform({.n = 1024, .dim = 2, .seed = 7});
+  for (auto _ : state) {
+    const auto ids = tree.insert(batch);
+    tree.erase(ids);
+  }
+  state.SetItemsProcessed(state.iterations() * 2048);
+}
+BENCHMARK(BM_PimKdInsertErase);
+
 void BM_LogTreeKnn(benchmark::State& state) {
   LogTree tree({.dim = 2, .leaf_cap = 16});
   const auto pts = data(1 << 14);

@@ -198,12 +198,9 @@ bool PimKdTree::check_node_invariants(NodeId nid, std::uint64_t& size_out) const
     const Replica* copy = store_.present_copy(nid, m);
     if (copy == nullptr) PIMKD_FAIL("copy missing on module");
     if (copy->counter != n.counter) PIMKD_FAIL("copy counter desync");
-    if (n.is_leaf()) {
-      const auto& st = sys_.module(m);
-      const auto lp = st.leaf_points.find(nid);
-      if (lp == st.leaf_points.end() || lp->second != pool_.cold(nid).leaf_pts)
-        PIMKD_FAIL("leaf payload desync");
-    }
+    const std::size_t payload =
+        n.is_leaf() ? pool_.cold(nid).leaf_pts.size() : 0;
+    if (copy->payload_pts != payload) PIMKD_FAIL("leaf payload desync");
   }
   if (!master_seen && !g0) PIMKD_FAIL("master copy absent");
 

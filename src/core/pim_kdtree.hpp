@@ -433,7 +433,6 @@ class PimKdTree {
   // group); on success applies the delta to it and its in-group ancestors and
   // broadcasts to all copies. `sign` is +1 (insert) or -1 (delete).
   void counter_attempt(NodeId lowest, int sign);
-  void set_counter(NodeId id, double value, bool broadcast);
 
   // --- Batched routing (leafsearch.cpp / update.cpp) ---------------------------
   struct RouteStop {

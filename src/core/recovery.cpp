@@ -147,16 +147,13 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
            << " (stale; resync_counters repairs)";
         fail(os.str());
       }
-      if (rec.is_leaf()) {
-        const ModuleState& st = sys_.module(m);
-        const auto lit = st.leaf_points.find(id);
-        if (lit == st.leaf_points.end() ||
-            lit->second != pool_.cold(id).leaf_pts) {
-          std::ostringstream os;
-          os << "leaf " << id << " payload on m" << m
-             << (lit == st.leaf_points.end() ? " missing" : " desynced");
-          fail(os.str());
-        }
+      const std::size_t payload =
+          rec.is_leaf() ? pool_.cold(id).leaf_pts.size() : 0;
+      if (rep.payload_pts != payload) {
+        std::ostringstream os;
+        os << "node " << id << " on m" << m << ": payload holds "
+           << rep.payload_pts << " points, mirror " << payload;
+        fail(os.str());
       }
     }
     if (!master_seen) {
@@ -167,17 +164,9 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
     }
   });
 
-  // Orphan leaf payloads (held on a module without the node's copy) and
-  // storage-ledger reconciliation.
+  // Storage-ledger reconciliation.
   for (std::size_t m = 0; m < sys_.P(); ++m) {
     if (!sys_.module_alive(m)) continue;
-    for (const auto& [id, pts] : sys_.module(m).leaf_points) {
-      if (!store_.module_has(m, id)) {
-        std::ostringstream os;
-        os << "orphan leaf payload for node " << id << " on m" << m;
-        fail(os.str());
-      }
-    }
     const std::uint64_t ledger = sys_.metrics().module_storage(m);
     if (ledger != expect_words[m]) {
       std::ostringstream os;

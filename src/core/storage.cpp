@@ -29,34 +29,24 @@ Replica& DistStore::register_copy(CopyTable& t, std::uint32_t module) {
 
 std::uint64_t DistStore::install(NodeId id, Replica& r) {
   const NodeRec& rec = pool_.at(id);
-  const std::uint32_t now = sys_.incarnation(r.module);
-  if (r.stamp != now) {  // wiped by a crash since it was written
-    r.stamp = now;
-    r.refs = 0;
-  }
+  restamp(r);
   ++r.refs;
   r.counter = rec.counter;
   std::uint64_t words = node_words(cfg_.dim);
   if (rec.is_leaf() && r.refs == 1) {
-    const std::vector<PointId>& pts = pool_.cold(id).leaf_pts;
-    sys_.module(r.module).leaf_points[id] = pts;
-    words += static_cast<std::uint64_t>(pts.size()) * point_words(cfg_.dim);
+    r.payload_pts = static_cast<std::uint32_t>(pool_.cold(id).leaf_pts.size());
+    words += static_cast<std::uint64_t>(r.payload_pts) * point_words(cfg_.dim);
   }
   return words;
 }
 
-std::uint64_t DistStore::release(NodeId id, Replica& r, std::uint32_t refs) {
+std::uint64_t DistStore::release(Replica& r, std::uint32_t refs) {
   assert(present(r) && r.refs >= refs);
   r.refs -= refs;
   std::uint64_t words = static_cast<std::uint64_t>(refs) * node_words(cfg_.dim);
-  if (r.refs == 0 && pool_.at(id).is_leaf()) {
-    auto& stored = sys_.module(r.module).leaf_points;
-    const auto lit = stored.find(id);
-    if (lit != stored.end()) {
-      words += static_cast<std::uint64_t>(lit->second.size()) *
-               point_words(cfg_.dim);
-      stored.erase(lit);
-    }
+  if (r.refs == 0) {
+    words += static_cast<std::uint64_t>(r.payload_pts) * point_words(cfg_.dim);
+    r.payload_pts = 0;
   }
   return words;
 }
@@ -79,7 +69,7 @@ void DistStore::remove_all_copies(NodeId id) {
   CopyTable& t = pool_.cold(id).copies;
   for (Replica& r : t.replicas) {
     if (!present(r)) continue;  // dead or wiped: already physically gone
-    const std::uint64_t words = release(id, r, r.refs);
+    const std::uint64_t words = release(r, r.refs);
     sys_.metrics().add_storage(r.module, -static_cast<std::int64_t>(words));
   }
   t.modules.clear();
@@ -105,7 +95,7 @@ void DistStore::remove_one_copy(NodeId id, std::size_t module) {
   assert(r != nullptr);
   if (present(*r))
     sys_.metrics().add_storage(
-        module, -static_cast<std::int64_t>(release(id, *r, 1)));
+        module, -static_cast<std::int64_t>(release(*r, 1)));
   if (std::find(t.modules.begin(), t.modules.end(), m) == t.modules.end())
     t.replicas.erase(t.replicas.begin() + (r - t.replicas.data()));
 }
@@ -120,41 +110,61 @@ std::uint64_t DistStore::write_counter_copies(NodeId id, bool charge_comm) {
   assert(sys_.metrics().in_round());
   const double counter = pool_.at(id).counter;
   CopyTable& t = pool_.cold(id).copies;
+  // A lost message is charged (the word left the host) but never applied.
+  // The loss draws follow the registration order, one per message to an
+  // alive module, so they are taken first and counted per module; a replica
+  // keeps its stale counter (until resync_counters repairs it) only when
+  // every message addressed to it was lost.
   pim::FaultInjector* faults = sys_.faults();
+  const bool lossy = charge_comm && faults && faults->any_loss_active();
+  if (lossy)
+    for (const std::uint32_t module : t.modules)
+      if (sys_.module_alive(module) && faults->drop_counter_word(module))
+        ++drops_[module];
+  // One message per registration: `refs` per alive replica.
+  const char* alive = sys_.alive_bitmap().data();
   std::uint64_t words = 0;
-  for (const std::uint32_t module : t.modules) {
-    if (!sys_.module_alive(module)) continue;  // send suppressed: module down
-    if (charge_comm) {
-      sys_.metrics().add_comm(module, kCounterWords);
-      words += kCounterWords;
-      // A lost message is charged (the word left the host) but never
-      // applied: the replica keeps its stale counter until resync_counters
-      // repairs it.
-      if (faults && faults->drop_counter_word(module)) continue;
+  for (Replica& r : t.replicas) {
+    if (!alive[r.module]) continue;  // send suppressed: module down
+    assert(present(r));
+    std::uint32_t applied = r.refs;
+    if (lossy) {
+      applied -= drops_[r.module];
+      drops_[r.module] = 0;
     }
-    Replica* r = find_replica(t.replicas, module);
-    assert(r != nullptr && present(*r));
-    r->counter = counter;
-    sys_.metrics().add_module_work(module, 1);
+    if (applied != 0) r.counter = counter;
+    const std::uint64_t sent = charge_comm ? r.refs * kCounterWords : 0;
+    charge(r.module, applied, sent);
+    words += sent;
   }
   return words;
+}
+
+void DistStore::flush_charges() {
+  pim::Metrics& metrics = sys_.metrics();
+  for (std::size_t m = 0; m < pending_.size(); ++m) {
+    PendingCharge& c = pending_[m];
+    if (c.work != 0) metrics.add_module_work(m, c.work);
+    if (c.comm != 0) metrics.add_comm(m, c.comm);
+    c = PendingCharge{};
+  }
 }
 
 void DistStore::refresh_leaf_payload(NodeId leaf, std::uint64_t words_changed) {
   assert(sys_.metrics().in_round());
   assert(pool_.at(leaf).is_leaf());
+  const auto pts =
+      static_cast<std::uint32_t>(pool_.cold(leaf).leaf_pts.size());
+  const auto pw = static_cast<std::int64_t>(point_words(cfg_.dim));
   // One payload per module: the replicas are the distinct modules.
-  for (const Replica& r : replicas(leaf)) {
+  for (Replica& r : pool_.cold(leaf).copies.replicas) {
     if (!sys_.module_alive(r.module)) continue;  // send suppressed: module down
-    auto& stored = sys_.module(r.module).leaf_points[leaf];
-    const auto old_words = static_cast<std::int64_t>(stored.size()) *
-                           static_cast<std::int64_t>(point_words(cfg_.dim));
-    stored = pool_.cold(leaf).leaf_pts;
-    const auto new_words = static_cast<std::int64_t>(stored.size()) *
-                           static_cast<std::int64_t>(point_words(cfg_.dim));
+    restamp(r);
+    const std::int64_t old_pts = r.payload_pts;
+    r.payload_pts = pts;
     sys_.metrics().add_comm(r.module, words_changed);
     sys_.metrics().add_module_work(r.module, 1 + words_changed);
-    sys_.metrics().add_storage(r.module, new_words - old_words);
+    sys_.metrics().add_storage(r.module, (pts - old_pts) * pw);
   }
 }
 
@@ -182,13 +192,13 @@ DistStore::RecoverySummary DistStore::rebuild_module(std::size_t m) {
     r->refs = refs_here;
     r->counter = rec.counter;
     r->stamp = sys_.incarnation(m);
-    std::uint64_t words =
-        static_cast<std::uint64_t>(refs_here) * node_words(cfg_.dim);
-    if (rec.is_leaf()) {
-      const std::vector<PointId>& pts = pool_.cold(rec.id).leaf_pts;
-      sys_.module(m).leaf_points[rec.id] = pts;
-      words += static_cast<std::uint64_t>(pts.size()) * point_words(cfg_.dim);
-    }
+    r->payload_pts =
+        rec.is_leaf()
+            ? static_cast<std::uint32_t>(pool_.cold(rec.id).leaf_pts.size())
+            : 0;
+    const std::uint64_t words =
+        static_cast<std::uint64_t>(refs_here) * node_words(cfg_.dim) +
+        static_cast<std::uint64_t>(r->payload_pts) * point_words(cfg_.dim);
     if (src != m) {
       sys_.metrics().add_comm(src, words);  // read side of the transfer
       sum.from_replicas += refs_here;

@@ -11,10 +11,18 @@
 // DistStore keeps each node's copy table in the node's pool slot
 // (NodeCold::copies): the registration list (intent, so demolition and
 // counter broadcast are exact) and one replica per registered module (the
-// copy's counter and physical presence, so per-module space and load are
-// measurable and traversals can assert a node is really present where the
-// algorithm claims). Leaf payloads sit in the owning module's state. Every
-// word shipped is charged to Metrics.
+// copy's counter, physical presence and, for a leaf, the payload it holds, so
+// per-module space and load are measurable and traversals can assert a node
+// is really present where the algorithm claims). Every module's copy of a
+// leaf payload equals the mirror's NodeCold::leaf_pts, so a replica records
+// only how many points it holds. Every word shipped is charged to Metrics.
+//
+// Charge batching: the counter writes and routing of an update batch charge
+// into a per-module accumulator (ChargeBatch) that is folded into Metrics once
+// when the batch's routing ends, still inside its round. Metrics keeps
+// per-round, per-module sums of commutative adds and faults fire only at
+// round barriers, so the ledger, per-round maxima and trace are exactly those
+// of charging each message as it is sent.
 //
 // Fault model: when a module is dead (crashed, see pim/fault.hpp), the
 // orchestrator suppresses every message addressed to it — registrations
@@ -29,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -45,15 +54,20 @@ class Checkpoint;
 
 namespace pimkd::core {
 
-struct ModuleState {
-  std::unordered_map<NodeId, std::vector<PointId>> leaf_points;
-};
+// Per-module simulator state. Everything a module physically holds lives in
+// the copy tables (Replica), stamped with the module's incarnation, so a
+// crash's wipe of this state loses nothing the stamps do not already hide.
+struct ModuleState {};
 
 class DistStore {
  public:
   DistStore(const PimKdConfig& cfg, pim::PimSystem<ModuleState>& sys,
             NodePool& pool)
-      : cfg_(cfg), sys_(sys), pool_(pool) {}
+      : cfg_(cfg),
+        sys_(sys),
+        pool_(pool),
+        pending_(sys.P()),
+        drops_(sys.P(), 0) {}
 
   // Master placement: the hash home h(id) unless a live migration has pinned
   // the node elsewhere (core/migration.cpp). Every caching rule, traversal,
@@ -171,9 +185,34 @@ class DistStore {
     return pool_.cold(id).copies.replicas;
   }
 
+  // --- Charge batching -------------------------------------------------------
+  // Module work and words charged through charge_work/charge_comm (and by
+  // the counter writes below) are summed per module and reach Metrics when
+  // the open ChargeBatch closes. A batch opens and closes inside one round
+  // and does not nest; closing on unwind flushes too, so an exception cannot
+  // carry charges into a later round. Control thread only.
+  class ChargeBatch {
+   public:
+    explicit ChargeBatch(DistStore& s) : s_(s) {
+      assert(!s_.batch_open_);
+      s_.batch_open_ = true;
+    }
+    ~ChargeBatch() {
+      s_.batch_open_ = false;
+      s_.flush_charges();
+    }
+    ChargeBatch(const ChargeBatch&) = delete;
+    ChargeBatch& operator=(const ChargeBatch&) = delete;
+
+   private:
+    DistStore& s_;
+  };
+  void charge_work(std::size_t m, std::uint64_t w) { charge(m, w, 0); }
+  void charge_comm(std::size_t m, std::uint64_t words) { charge(m, 0, words); }
+
   // Broadcasts the node's canonical counter value to every copy; charges one
   // word of communication and one unit of PIM work per copy written, and
-  // returns the words charged.
+  // returns the words charged. Inside a ChargeBatch only.
   std::uint64_t broadcast_counter(NodeId id) {
     return write_counter_copies(id, true);
   }
@@ -211,8 +250,28 @@ class DistStore {
   std::uint64_t install(NodeId id, Replica& r);
   // Frees `refs` references of present replica `r` (the leaf payload goes
   // with the last one); returns the words freed.
-  std::uint64_t release(NodeId id, Replica& r, std::uint32_t refs);
+  std::uint64_t release(Replica& r, std::uint32_t refs);
+  // A replica whose stamp predates its module's last crash holds nothing:
+  // restamp it as an empty copy before writing to it.
+  void restamp(Replica& r) const {
+    const std::uint32_t now = sys_.incarnation(r.module);
+    if (r.stamp == now) return;
+    r.stamp = now;
+    r.refs = 0;
+    r.payload_pts = 0;
+  }
   std::uint64_t write_counter_copies(NodeId id, bool charge_comm);
+
+  struct PendingCharge {
+    std::uint64_t work = 0;
+    std::uint64_t comm = 0;
+  };
+  void charge(std::size_t m, std::uint64_t work, std::uint64_t comm) {
+    assert(batch_open_);
+    pending_[m].work += work;
+    pending_[m].comm += comm;
+  }
+  void flush_charges();
 
   const PimKdConfig& cfg_;
   pim::PimSystem<ModuleState>& sys_;
@@ -224,6 +283,12 @@ class DistStore {
   // traversal is bookkeeping, not logical mutation of the store.
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> heat_;
   std::size_t heat_size_ = 0;
+  // Charge batching (see ChargeBatch): per-module sums.
+  std::vector<PendingCharge> pending_;
+  bool batch_open_ = false;
+  // Per-module dropped-word counts of one lossy counter broadcast (all zero
+  // between broadcasts).
+  std::vector<std::uint32_t> drops_;
 };
 
 }  // namespace pimkd::core

@@ -4,9 +4,10 @@
 // tree's shape (ids, children, groups). The mirror holds exactly that
 // orchestration state plus the *exact* subtree sizes used as a testing
 // oracle. Each node's copy table (NodeCold::copies) records where its copies
-// live and what each module physically holds; DistStore (core/storage.hpp)
-// owns it, and the cost accounting stands on it. NodeIds are never reused, so
-// stale references are detectable.
+// live and what each module physically holds — counter replica, reference
+// count and, for a leaf, the size of the payload stored with the copy;
+// DistStore (core/storage.hpp) owns it, and the cost accounting stands on
+// it. NodeIds are never reused, so stale references are detectable.
 //
 // Storage layout: a flat slab. Records live in contiguous vectors indexed by
 // a slot; `slot_of_[id]` maps the never-reused NodeId to its current slot and
@@ -59,12 +60,14 @@ struct NodeRec {
 // One module's copy of a node (DistStore, core/storage.hpp). It is physically
 // present while refs != 0 and `stamp` equals the module's incarnation: a crash
 // bumps the incarnation, so every copy written before it reads as absent
-// until recovery rewrites it.
+// until recovery rewrites it. A leaf's copy carries the leaf payload, so the
+// module's share of the leaf's points is the copy's own field.
 struct Replica {
   double counter = 0;        // this copy's replica of the approximate counter
   std::uint32_t module = 0;
   std::uint32_t refs = 0;    // same node cached on this module via several owners
   std::uint32_t stamp = 0;   // module incarnation the copy was written under
+  std::uint32_t payload_pts = 0;  // leaf points held with the copy (leaves)
 };
 
 // A node's copy table. `modules` is the registration list (intent), verbatim:

@@ -14,11 +14,6 @@ namespace pimkd::core {
 
 // --- Approximate counters ----------------------------------------------------
 
-void PimKdTree::set_counter(NodeId id, double value, bool broadcast) {
-  pool_.at(id).counter = std::max(value, 0.0);
-  if (broadcast) store_.broadcast_counter(id);
-}
-
 void PimKdTree::counter_attempt(NodeId lowest, int sign) {
   const double n = static_cast<double>(std::max<std::size_t>(live_, 2));
   const double v = std::max(pool_.at(lowest).counter, 0.0);
@@ -78,20 +73,32 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
   std::vector<RouteStop> out(queries.size());
   if (root_ == kNoNode || queries.empty()) return out;
   const std::uint64_t tau = push_pull_threshold();
+  // Module charges of the whole descent, counter writes included, are summed
+  // per module and reach Metrics once, when this scope closes.
+  const DistStore::ChargeBatch charges(store_);
 
   // Distribute the batch: query i lands on module i mod P (Alg. 4 lines 2-5).
   // Degraded mode rotates over the alive modules only (starts == all modules
   // when healthy, so the fault-free charge pattern is unchanged); with every
   // module down the whole descent runs on the CPU.
   const auto starts = query_start_modules();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!starts.empty())
-      sys_.metrics().add_comm(starts[i % starts.size()], kQueryWords);
+  std::vector<std::uint32_t> home(starts.empty() ? 0 : queries.size());
+  for (std::size_t i = 0; i < home.size(); ++i) {
+    home[i] = static_cast<std::uint32_t>(starts[i % starts.size()]);
+    store_.charge_comm(home[i], kQueryWords);
   }
+
+  // Each visit partitions its slice of `order` in place (stably, so the DFS
+  // and the per-node counter attempts follow the query order); the right
+  // half passes through `scratch`.
+  std::vector<std::uint32_t> order(queries.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::uint32_t> scratch(queries.size());
 
   // push_anchor == kNoNode means the descent currently runs on the CPU
   // (pulled) or inside the replicated Group 0.
-  auto solve = [&](auto&& self, NodeId nid, std::vector<std::uint32_t> qs,
+  auto solve = [&](auto&& self, NodeId nid, std::span<std::uint32_t> qs,
                    NodeId push_anchor) -> void {
     NodeRec& rec = pool_.at(nid);
     const bool g0 =
@@ -101,11 +108,10 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
     if (g0) {
       // Group 0 is replicated everywhere: each query works on its own module
       // (its alive start module when degraded, the CPU when none remain).
-      for (const std::uint32_t qi : qs) {
-        if (!starts.empty())
-          sys_.metrics().add_module_work(starts[qi % starts.size()], 1);
-        else
-          sys_.metrics().add_cpu_work(1);
+      if (home.empty()) {
+        sys_.metrics().add_cpu_work(qs.size());
+      } else {
+        for (const std::uint32_t qi : qs) store_.charge_work(home[qi], 1);
       }
       push_anchor = kNoNode;
     } else {
@@ -122,7 +128,7 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
         // Still inside the pushed component: pure on-chip work.
         const std::size_t m = store_.master_of(push_anchor);
         assert(store_.module_has(m, nid));
-        sys_.metrics().add_module_work(m, qs.size());
+        store_.charge_work(m, qs.size());
       } else if (cfg_.use_push_pull && qs.size() > tau) {
         // Pull: fetch this node's record (and, for a contended leaf, its
         // O(1)-sized payload) to the CPU and resolve there — this is what
@@ -133,7 +139,7 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
                    point_words(cfg_.dim);
         const std::size_t m = store_.master_of(nid);
         if (sys_.module_alive(m)) {
-          sys_.metrics().add_comm(m, words);
+          store_.charge_comm(m, words);
         } else {
           // Degraded: the master is down; the CPU reads its own mirror.
           deg_routes_.fetch_add(1, std::memory_order_relaxed);
@@ -152,8 +158,8 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
         } else {
           // Push: ship the queries to the node's module and continue there.
           assert(store_.module_has(m, nid));
-          sys_.metrics().add_comm(m, qs.size() * kQueryWords);
-          sys_.metrics().add_module_work(m, qs.size());
+          store_.charge_comm(m, qs.size() * kQueryWords);
+          store_.charge_work(m, qs.size());
           push_anchor = nid;
         }
       }
@@ -180,15 +186,17 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
     // children while the partition's comparisons run).
     pool_.prefetch(rec.left);
     pool_.prefetch(rec.right);
-    std::vector<std::uint32_t> lqs;
-    std::vector<std::uint32_t> rqs;
-    lqs.reserve(qs.size());
+    std::size_t nl = 0;
+    std::size_t nr = 0;
     for (const std::uint32_t qi : qs) {
       if (queries[qi][rec.split_dim] < rec.split_val)
-        lqs.push_back(qi);
+        qs[nl++] = qi;
       else
-        rqs.push_back(qi);
+        scratch[nr++] = qi;
     }
+    std::copy_n(scratch.begin(), nr, qs.begin() + nl);
+    const std::span<std::uint32_t> lqs = qs.first(nl);
+    const std::span<std::uint32_t> rqs = qs.subspan(nl);
 
     if (update_sign != 0) {
       // Modification II: stop at the highest node whose alpha-balance the
@@ -219,14 +227,11 @@ std::vector<PimKdTree::RouteStop> PimKdTree::route_batch(
           counter_attempt(nid, update_sign);
     }
 
-    if (!lqs.empty()) self(self, rec.left, std::move(lqs), push_anchor);
-    if (!rqs.empty()) self(self, rec.right, std::move(rqs), push_anchor);
+    if (!lqs.empty()) self(self, rec.left, lqs, push_anchor);
+    if (!rqs.empty()) self(self, rec.right, rqs, push_anchor);
   };
 
-  std::vector<std::uint32_t> all(queries.size());
-  for (std::size_t i = 0; i < all.size(); ++i)
-    all[i] = static_cast<std::uint32_t>(i);
-  solve(solve, root_, std::move(all), kNoNode);
+  solve(solve, root_, std::span<std::uint32_t>(order), kNoNode);
   return out;
 }
 

@@ -104,14 +104,15 @@ TEST(CopyTable, SecondRefOnAModuleSurvivesOneRemoval) {
   EXPECT_TRUE(rig.store.module_has(1, id));
   EXPECT_EQ(rig.store.replicas(id)[0].refs, 1u);
   EXPECT_EQ(rig.held(1), nw + leaf);
-  EXPECT_EQ(rig.sys.module(1).leaf_points.count(id), 1u);
+  EXPECT_EQ(rig.store.replicas(id)[0].payload_pts, 3u);
   EXPECT_EQ(rig.store.copy_modules(id), (std::vector<std::uint32_t>{2, 1}));
 
   rig.store.remove_one_copy(id, 1);
   EXPECT_FALSE(rig.store.module_has(1, id));
   EXPECT_EQ(rig.held(1), 0u);
-  EXPECT_EQ(rig.sys.module(1).leaf_points.count(id), 0u);
   ASSERT_EQ(rig.store.replicas(id).size(), 1u);
+  EXPECT_EQ(rig.store.replicas(id)[0].module, 2u);  // m1's payload went too
+  EXPECT_EQ(rig.store.replicas(id)[0].payload_pts, 3u);
   EXPECT_THROW(rig.store.remove_one_copy(id, 1), PimError);
   rig.store.remove_all_copies(id);
   EXPECT_EQ(rig.held(2), 0u);
@@ -165,6 +166,50 @@ TEST(CopyTable, IntegrityFlagsWipedCopiesAndRecoveryRestoresThem) {
   const PimKdTree::RecoveryReport rec = tree.recover(3);
   EXPECT_GT(rec.copies, 0u);
   EXPECT_TRUE(rec.integrity_ok);
+  EXPECT_TRUE(tree.check_invariants());
+}
+
+TEST(CopyTable, LeafPayloadTracksUpdatesAcrossCrashAndRecover) {
+  const auto pts = gen_uniform({.n = 3000, .dim = 2, .seed = 34});
+  PimKdTree tree(base_cfg(8), pts);
+  // A leaf outside the replicated Group 0 and the module holding its master.
+  NodeId leaf = kNoNode;
+  tree.pool().for_each([&](const NodeRec& rec) {
+    if (leaf == kNoNode && rec.is_leaf() && rec.group != 0 &&
+        tree.pool().cold(rec.id).leaf_pts.size() >= 2 &&
+        tree.pool().cold(rec.id).leaf_pts.size() + 2 <= 8)
+      leaf = rec.id;
+  });
+  ASSERT_NE(leaf, kNoNode);
+  const std::size_t m = tree.store().master_of(leaf);
+  const std::vector<PointId> held = tree.pool().cold(leaf).leaf_pts;
+  auto payload_on_m = [&] {
+    for (const Replica& r : tree.store().replicas(leaf))
+      if (r.module == m) return r.payload_pts;
+    return ~0u;
+  };
+  ASSERT_EQ(payload_on_m(), held.size());
+
+  // While m is down: two points land in the leaf (copies of points it
+  // holds), one of its points leaves. The sends to m are suppressed.
+  tree.crash_module(m);
+  (void)tree.insert(std::vector<Point>{pts[held[0]], pts[held[1]]});
+  tree.erase(std::vector<PointId>{held[0]});
+  ASSERT_TRUE(tree.pool().contains(leaf));  // appended, not reconstructed
+  const std::size_t now = tree.pool().cold(leaf).leaf_pts.size();
+  ASSERT_EQ(now, held.size() + 1);
+  EXPECT_NE(payload_on_m(), now);  // m's copy missed the updates
+  EXPECT_FALSE(tree.check_integrity().ok);
+
+  const PimKdTree::RecoveryReport rec = tree.recover(m);
+  EXPECT_TRUE(rec.integrity_ok);
+  EXPECT_TRUE(tree.check_integrity().ok) << tree.check_integrity().to_string();
+  EXPECT_EQ(payload_on_m(), now);
+  std::uint64_t sum = 0;
+  tree.pool().for_each([&](const NodeRec& r) {
+    sum += tree.store().node_storage_words(r.id);
+  });
+  EXPECT_EQ(sum, tree.storage_words());
   EXPECT_TRUE(tree.check_invariants());
 }
 
