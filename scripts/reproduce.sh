@@ -92,66 +92,27 @@ if [ ! -f "$serve_json" ] || [ "$(grep -o '"p99_us"' "$serve_json" | wc -l)" -lt
 fi
 echo "serving latency rows recorded ($(grep -o '"p99_us"' "$serve_json" | wc -l) mixes)"
 
-# Pipelined-engine gate: the serial-vs-pipelined read-heavy legs must have
-# run (both engines report sustained throughput + p99) and the pipelined
-# engine must clear the regression floor on this host (DESIGN.md §8.5: the
-# floor is a tripwire against regressing sustained throughput on few-core
-# hosts, not a speedup claim).
-if ! grep -q '"engine":"pipelined"' "$serve_json" || \
-   ! grep -q '"pipeline_speedup"' "$serve_json"; then
-  echo "bench_serve is missing the serial-vs-pipelined legs." >&2
-  exit 1
-fi
-if grep -q '"pipeline_gate_ok":false' "$serve_json"; then
-  echo "pipelined serve engine fell below the throughput regression floor:" >&2
-  grep -o '"pipeline_speedup":[0-9.eE+-]*' "$serve_json" >&2
-  exit 1
-fi
-echo "pipelined serve gate passed ($(grep -o '"pipeline_speedup":[0-9.eE+-]*' "$serve_json" | head -1))"
-
-# Sharded-router gate: the K=1 vs K=4 read-heavy legs must have run through
-# router::Frontend, and on >= 4 hardware cores K=4 must sustain >= 1.05x the
-# K=1 throughput (DESIGN.md §12). On fewer cores the shard pumps time-share
-# the host, the gate passes vacuously, and bench_serve prints the caveat —
-# no scale-out speedup is claimed there.
+# Sharded-router gate (DESIGN.md §12): the K=1 vs K=4 read-heavy legs must
+# have run through router::Frontend, and sharding must pay off in the PIM
+# model — K=4's largest per-shard comm_time <= 0.5x K=1's, at most 5% of
+# reads needing a second kNN phase, and every response equal to K=1's. All
+# three are deterministic. Wall-clock K=4/K=1 throughput (router_speedup) is
+# recorded but not gated: the shards share this host's cores.
 if ! grep -q '"mix":"router_k4"' "$serve_json" || \
-   ! grep -q '"router_speedup"' "$serve_json"; then
+   ! grep -q '"mix":"router_gate"' "$serve_json"; then
   echo "bench_serve is missing the sharded router legs." >&2
   exit 1
 fi
-if grep -q '"router_gate_ok":false' "$serve_json"; then
-  echo "K=4 router throughput fell below the 1.05x scale-out gate:" >&2
-  grep -o '"router_speedup":[0-9.eE+-]*' "$serve_json" >&2
+router_row() { grep -o "\"$1\":[^,}]*" "$serve_json" | head -1; }
+if ! grep -q '"router_gate_ok":true' "$serve_json"; then
+  echo "sharded router gate failed:" >&2
+  for k in comm_time_ratio comm_time_ok knn_second_phase_frac \
+           second_phase_ok responses_equal; do
+    router_row "$k" >&2
+  done
   exit 1
 fi
-if grep -q '"router_gate_vacuous":true' "$serve_json"; then
-  echo "router gate vacuous (fewer than 4 hardware cores; measured $(grep -o '"router_speedup":[0-9.eE+-]*' "$serve_json"))"
-else
-  echo "router scale-out gate passed ($(grep -o '"router_speedup":[0-9.eE+-]*' "$serve_json"))"
-fi
-
-# Migration gate: the zipf(0.99) read-heavy legs must have run with and
-# without the MigrationPlanner (DESIGN.md §13), the migrated run's per-module
-# comm imbalance must stay <= 2x mean and its modeled comm_time within 1.5x
-# the no-migration baseline (both deterministic ledger checks). The wall p99
-# leg only gates on >= 4 hardware cores; on fewer it is vacuous and
-# bench_serve prints the caveat — no latency win is claimed there.
-if ! grep -q '"mix":"migration_gate"' "$serve_json" || \
-   ! grep -q '"mix":"read_heavy_mig_on"' "$serve_json"; then
-  echo "bench_serve is missing the migration gate legs." >&2
-  exit 1
-fi
-if grep -q '"migration_gate_ok":false' "$serve_json"; then
-  echo "migration gate failed (imbalance/overhead/p99):" >&2
-  grep -o '"comm_imbalance_on":[0-9.eE+-]*' "$serve_json" >&2
-  grep -o '"comm_time_o[nf]*":[0-9]*' "$serve_json" >&2
-  exit 1
-fi
-if grep -q '"migration_gate_vacuous":true' "$serve_json"; then
-  echo "migration gate passed on the modeled ledger; p99 leg vacuous (fewer than 4 hardware cores; imbalance $(grep -o '"comm_imbalance_on":[0-9.eE+-]*' "$serve_json"))"
-else
-  echo "migration gate passed ($(grep -o '"comm_imbalance_on":[0-9.eE+-]*' "$serve_json"))"
-fi
+echo "router gate passed ($(router_row comm_time_ratio), $(router_row knn_second_phase_frac), $(router_row responses_equal); ungated $(router_row router_speedup))"
 
 # Adaptive-replication gate: bench_fig2_caching's mix sweep must show the
 # adaptive controller landing within 1.15x of the best static mode on every

@@ -713,7 +713,6 @@ std::uint64_t PimKdTree::materialize_pair_caches(NodeId comp_root) {
 }
 
 std::uint64_t PimKdTree::finish_delayed_components() {
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   if (!unfinished_.empty()) ++mutation_epoch_;
   pim::TraceScope span(sys_.metrics(), "finish_delayed", unfinished_.size());
   pim::RoundGuard round(sys_.metrics());
@@ -751,7 +750,6 @@ void PimKdTree::destroy_subtree_mirror(NodeId subtree) {
     destroy_subtree_mirror(rec.left);
     destroy_subtree_mirror(rec.right);
   }
-  store_.drop_remap(subtree);  // dead NodeIds never come back; prune the pin
   pool_.destroy(subtree);
 }
 

@@ -72,10 +72,6 @@ bool Cursor::visit(NodeId id) {
   metrics_.add_comm(from, kHopWords / 2);
   metrics_.add_comm(to, kHopWords - kHopWords / 2);
   metrics_.add_module_work(to, 1);
-  // Every off-component hop lands on the component entry point, so the hop
-  // count per component root is exactly the read heat the migration planner
-  // needs (no-op unless heat tracking is enabled).
-  store_.note_hop(pool_.at(id).comp_root);
   stack_.push_back(Anchor{id, to});
   ++hops_;
   return true;

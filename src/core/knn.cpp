@@ -188,7 +188,6 @@ void PimKdTree::set_priorities(std::span<const double> priority_by_id) {
        << " entries for " << all_points_.size() << " point ids";
     throw std::invalid_argument(os.str());
   }
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   ++mutation_epoch_;
   priorities_.assign(priority_by_id.begin(), priority_by_id.end());
   pim::TraceScope span(sys_.metrics(), "set_priorities", priority_by_id.size());

@@ -34,51 +34,6 @@ PimKdTree::PimKdTree(const PimKdConfig& cfg, std::span<const Point> pts)
 
 PimKdTree::~PimKdTree() { sys_.metrics().set_trace_sink(nullptr); }
 
-// --- Epoch-pinned reads / write gate -------------------------------------------
-
-PimKdTree::ReadPin::ReadPin(const PimKdTree* t) : tree_(t) {
-  std::unique_lock<std::mutex> lk(t->pin_mu_);
-  // Pins taken on the writer's own thread would deadlock its gate; the
-  // scheduler never does this, but a same-thread pin during a mutation is a
-  // torn read by definition, so refuse to wait for ourselves.
-  t->pin_cv_.wait(lk, [t] {
-    return !t->writer_active_ ||
-           t->writer_thread_ == std::this_thread::get_id();
-  });
-  ++t->read_pins_;
-  epoch_ = t->mutation_epoch_;
-}
-
-void PimKdTree::ReadPin::release() {
-  if (!tree_) return;
-  {
-    std::lock_guard<std::mutex> lk(tree_->pin_mu_);
-    --tree_->read_pins_;
-  }
-  tree_->pin_cv_.notify_all();
-  tree_ = nullptr;
-}
-
-PimKdTree::WriteGate::WriteGate(const PimKdTree& t) : tree(t) {
-  std::unique_lock<std::mutex> lk(t.pin_mu_);
-  if (t.writer_active_ && t.writer_thread_ == std::this_thread::get_id())
-    return;  // reentrant: a mutator calling another mutator
-  t.pin_cv_.wait(lk, [&t] { return t.read_pins_ == 0 && !t.writer_active_; });
-  t.writer_active_ = true;
-  t.writer_thread_ = std::this_thread::get_id();
-  outermost = true;
-}
-
-PimKdTree::WriteGate::~WriteGate() {
-  if (!outermost) return;
-  {
-    std::lock_guard<std::mutex> lk(tree.pin_mu_);
-    tree.writer_active_ = false;
-    tree.writer_thread_ = std::thread::id{};
-  }
-  tree.pin_cv_.notify_all();
-}
-
 std::vector<std::size_t> PimKdTree::query_start_modules() const {
   std::vector<std::size_t> out;
   out.reserve(sys_.P());

@@ -13,18 +13,20 @@
 //     orthogonal range / radius queries (§4.3).
 // All operations charge the Metrics ledger; benches compare those counters
 // against the Table 1 bounds.
+//
+// Thread safety: the tree is externally synchronised. A batch entry point
+// may fan its work out over the internal thread pool, but reads, writes,
+// controller steps and checkpoints of one tree must come from one thread at
+// a time (the serve layer runs them all on the thread that pumps its
+// scheduler).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <memory>
 
 #include "core/config.hpp"
 #include "core/cursor.hpp"
@@ -65,63 +67,13 @@ class PimKdTree {
   bool is_live(PointId id) const { return id < alive_.size() && alive_[id]; }
   // Monotone version of the query-visible state: bumped by every batch that
   // changes what reads can observe (insert, erase, set_priorities,
-  // finish_delayed_components). The serving layer (src/serve/) uses it as a
-  // const-correct snapshot hook: reads admitted in an epoch assert the
-  // version is unchanged across their execution, i.e. the live host mirror
-  // really was the epoch's snapshot.
+  // finish_delayed_components, set_caching_mode). Durability keys on it: WAL
+  // frames carry the post-apply version, replay skips frames the tree has
+  // already reached, and the checkpoint cadence counts it.
   std::uint64_t mutation_epoch() const { return mutation_epoch_; }
   // Total PointIds ever assigned (live + dead) == the id the next insert
-  // will hand out. The pipelined serve scheduler mirrors id assignment with
-  // this so batch formation never has to read the (possibly mid-mutation)
-  // tree itself.
+  // will hand out (the WAL replay base).
   std::size_t next_point_id() const { return all_points_.size(); }
-
-  // --- Epoch-pinned reads (serve pipelining, DESIGN.md §8.5) -----------------
-  // A ReadPin brackets a read phase: while any pin is held, every mutating
-  // batch entry point (insert, erase, set_priorities,
-  // finish_delayed_components, set_caching_mode, recover) blocks at its
-  // write gate until the pins drop, and pin acquisition blocks while a
-  // mutator is inside the gate. valid() re-reads mutation_epoch(): false
-  // means a mutation slipped past the gate (an external writer that predates
-  // the pin design, or a same-thread mutation) and every result produced
-  // under the pin must be discarded — the pipelined scheduler converts such
-  // reads to per-request errors instead of returning torn data.
-  //
-  // Do NOT mutate the tree on a thread that holds a pin: the write gate
-  // would wait for the pin forever. Same-thread reentrancy of the gate
-  // itself (a mutator calling another mutator) is allowed.
-  class ReadPin {
-   public:
-    ReadPin() = default;
-    ReadPin(ReadPin&& o) noexcept : tree_(o.tree_), epoch_(o.epoch_) {
-      o.tree_ = nullptr;
-    }
-    ReadPin& operator=(ReadPin&& o) noexcept {
-      if (this != &o) {
-        release();
-        tree_ = o.tree_;
-        epoch_ = o.epoch_;
-        o.tree_ = nullptr;
-      }
-      return *this;
-    }
-    ReadPin(const ReadPin&) = delete;
-    ReadPin& operator=(const ReadPin&) = delete;
-    ~ReadPin() { release(); }
-
-    // The mutation_epoch captured at acquisition.
-    std::uint64_t epoch() const { return epoch_; }
-    // True while no mutation has been applied since the pin was taken.
-    bool valid() const { return tree_ && tree_->mutation_epoch() == epoch_; }
-    void release();
-
-   private:
-    friend class PimKdTree;
-    explicit ReadPin(const PimKdTree* t);
-    const PimKdTree* tree_ = nullptr;
-    std::uint64_t epoch_ = 0;
-  };
-  ReadPin pin_reads() const { return ReadPin(this); }
 
   // --- Batch-dynamic updates (§4.2) -----------------------------------------
   // Inserts a batch; returns the stable PointIds assigned.
@@ -210,33 +162,6 @@ class PimKdTree {
   // scheduler switches only at epoch boundaries).
   ReplicationReport set_caching_mode(CachingMode mode);
 
-  // --- Live subtree migration (core/migration.cpp) ----------------------------
-  struct MigrationReport {
-    NodeId comp_root = kNoNode;
-    std::size_t from_module = 0;  // master_of(comp_root) before the move
-    std::size_t to_module = 0;
-    std::size_t nodes_moved = 0;     // component members re-placed
-    std::uint64_t copies_moved = 0;  // physical copies shipped at the target
-    std::uint64_t words = 0;         // shipping communication charged
-  };
-  // Moves one finished component's master placement to `to_module` *online*:
-  // demolishes the component's copies, pins every member's master to the
-  // target via the DistStore remap table, and re-materializes masters and
-  // pair caches there — so the distributed state (and the storage ledger) is
-  // exactly what a fresh build with that placement would produce. Charges the
-  // shipping words inside a "migration" trace span and bumps mutation_epoch
-  // so epoch-versioned reads never straddle the move. Throws PimError
-  // (kInvalidArgument / kFailedPrecondition) for non-roots, unfinished or
-  // Group-0-replicated components, out-of-range or dead targets.
-  MigrationReport migrate_component(NodeId comp_root, std::size_t to_module);
-  // Status twin (DESIGN.md §13 convention).
-  Status try_migrate_component(NodeId comp_root, std::size_t to_module,
-                               MigrationReport& out);
-  // Grows the read-heat array (DistStore::note_hop) to cover every NodeId
-  // allocated so far. Control point: call between batches, never while
-  // queries are in flight; the migration planner does this each epoch.
-  void enable_heat_tracking() { store_.enable_heat(pool_.next_id()); }
-
   // --- Fault handling & recovery (ISSUE: fault-injection subsystem) ----------
   // The underlying simulated system (fault surface: crash/revive, health(),
   // alive bitmap, the FaultInjector when a plan is configured).
@@ -311,7 +236,6 @@ class PimKdTree {
     std::uint64_t words_route = 0;
     std::uint64_t words_payload = 0;
     std::uint64_t words_replication = 0;  // online caching-mode switches
-    std::uint64_t words_migration = 0;    // live subtree migrations
   };
   const OpStats& op_stats() const { return op_stats_; }
   void reset_op_stats() { op_stats_ = OpStats{}; }
@@ -336,21 +260,6 @@ class PimKdTree {
   bool check_invariants() const;
 
  private:
-  // --- Write gate (epoch-pinned reads) ---------------------------------------
-  // RAII bracket placed at the top of every mutating batch entry point:
-  // waits until no ReadPin is held, then marks a writer active so new pins
-  // wait in turn. Reentrant on the owning thread (a mutator may call another
-  // mutator; only the outermost gate blocks/unblocks).
-  struct WriteGate {
-    explicit WriteGate(const PimKdTree& t);
-    ~WriteGate();
-    WriteGate(const WriteGate&) = delete;
-    WriteGate& operator=(const WriteGate&) = delete;
-    const PimKdTree& tree;
-    bool outermost = false;
-  };
-  friend struct WriteGate;
-  friend class ReadPin;
   // Crash-consistent snapshots (src/durability/): serializes / rehydrates the
   // private state below in a canonical order. Lives outside core so the
   // on-disk format stays in one place; the friend grant is the entire
@@ -502,14 +411,6 @@ class PimKdTree {
   mutable std::atomic<std::uint64_t> deg_queries_{0};
   mutable std::atomic<std::uint64_t> deg_subtrees_{0};
   mutable std::atomic<std::uint64_t> deg_routes_{0};
-
-  // Read-pin / write-gate coordination (see ReadPin above). The members are
-  // mutable because pinning is logically const: it observes, never mutates.
-  mutable std::mutex pin_mu_;
-  mutable std::condition_variable pin_cv_;
-  mutable std::size_t read_pins_ = 0;
-  mutable bool writer_active_ = false;
-  mutable std::thread::id writer_thread_{};
 };
 
 }  // namespace pimkd::core

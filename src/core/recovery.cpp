@@ -32,7 +32,6 @@ PimKdTree::RecoveryReport PimKdTree::recover(std::size_t m) {
     os << "recover: module " << m << " out of range (P=" << sys_.P() << ")";
     throw std::invalid_argument(os.str());
   }
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   if (sys_.module_alive(m)) {
     rep.integrity_ok = check_integrity().ok;
     return rep;

@@ -31,7 +31,6 @@ PimKdTree::ReplicationReport PimKdTree::set_caching_mode(CachingMode mode) {
   rep.from = cfg_.caching;
   rep.to = mode;
   if (mode == cfg_.caching) return rep;
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   const CachingMode old = cfg_.caching;
   cfg_.caching = mode;
   if (root_ == kNoNode) return rep;  // nothing materialized yet

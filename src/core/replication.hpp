@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/controller.hpp"
 #include "core/pim_kdtree.hpp"
 #include "pim/metrics.hpp"
 
@@ -82,12 +81,12 @@ struct ReplicationConfig {
   double bu_write = 16.0;
 };
 
-// Throwing entry point ⇔ try_ Status twin (DESIGN.md §13): validate() names
+// Throwing entry point ⇔ try_ Status twin (DESIGN.md §9.5): validate() names
 // the offending field; try_validate() is the no-throw form.
 void validate_replication_config(const ReplicationConfig& cfg);
 Status try_validate_replication_config(const ReplicationConfig& cfg);
 
-class AdaptiveReplicationController : public EpochController {
+class AdaptiveReplicationController {
  public:
   explicit AdaptiveReplicationController(PimKdTree& tree,
                                          ReplicationConfig cfg = {});
@@ -107,14 +106,6 @@ class AdaptiveReplicationController : public EpochController {
   // reads the ledger for skew, updates the mix EWMA, evaluates the prior and
   // applies at most one hysteresis-gated mode switch. Returns the decision.
   Decision on_epoch(std::uint64_t reads, std::uint64_t writes);
-
-  // EpochController surface (core/controller.hpp): the scheduler-facing view
-  // of on_epoch.
-  const char* name() const override { return "replication"; }
-  Outcome on_epoch_boundary(std::uint64_t reads, std::uint64_t writes) override {
-    const Decision d = on_epoch(reads, writes);
-    return Outcome{d.switched, d.switch_words};
-  }
 
   CachingMode mode() const { return tree_.config().caching; }
   const Decision& last_decision() const { return last_; }

@@ -36,11 +36,8 @@
 // repair.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -69,64 +66,9 @@ class DistStore {
         pending_(sys.P()),
         drops_(sys.P(), 0) {}
 
-  // Master placement: the hash home h(id) unless a live migration has pinned
-  // the node elsewhere (core/migration.cpp). Every caching rule, traversal,
-  // recovery and checkpoint path routes through here, so a remap entry moves
-  // the node's entire placement footprint consistently by construction.
-  std::size_t master_of(NodeId id) const {
-    if (!remap_.empty()) {
-      const auto it = remap_.find(id);
-      if (it != remap_.end()) return it->second;
-    }
-    return sys_.module_of(id);
-  }
-
-  // --- Placement overrides (live subtree migration) --------------------------
-  // Pin `id`'s master to `module`; pinning back to the hash home clears the
-  // entry so the empty-map fast path in master_of stays hot.
-  void set_remap(NodeId id, std::size_t module) {
-    if (module == sys_.module_of(id))
-      remap_.erase(id);
-    else
-      remap_[id] = static_cast<std::uint32_t>(module);
-  }
-  void drop_remap(NodeId id) {
-    if (!remap_.empty()) remap_.erase(id);
-  }
-  const std::unordered_map<NodeId, std::uint32_t>& remap() const {
-    return remap_;
-  }
-
-  // --- Read-heat tracking (migration planner input) ---------------------------
-  // Per-component hop counter, indexed by the component root's NodeId (dense,
-  // never reused). Commutative relaxed adds, so totals are thread-count
-  // invariant; the capacity only changes at control points (epoch boundaries),
-  // never while queries are in flight, so the bounds check below is race-free.
-  void enable_heat(std::size_t capacity) {
-    if (capacity <= heat_size_) return;
-    auto grown = std::make_unique<std::atomic<std::uint64_t>[]>(capacity);
-    for (std::size_t i = 0; i < capacity; ++i)
-      grown[i].store(i < heat_size_
-                         ? heat_[i].load(std::memory_order_relaxed)
-                         : 0,
-                     std::memory_order_relaxed);
-    heat_ = std::move(grown);
-    heat_size_ = capacity;
-  }
-  bool heat_enabled() const { return heat_size_ != 0; }
-  std::size_t heat_capacity() const { return heat_size_; }
-  // Charged by Cursor on every off-component hop; a component root beyond the
-  // tracked capacity (born since the last control point) is simply not
-  // counted until the planner grows the array.
-  void note_hop(NodeId comp_root) const {
-    if (comp_root < heat_size_)
-      heat_[comp_root].fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint64_t heat(NodeId comp_root) const {
-    return comp_root < heat_size_
-               ? heat_[comp_root].load(std::memory_order_relaxed)
-               : 0;
-  }
+  // Master placement: the hash home h(id). Every caching rule, traversal,
+  // recovery and checkpoint path routes through here.
+  std::size_t master_of(NodeId id) const { return sys_.module_of(id); }
 
   // Adds one copy of `id` on `module`, shipping the node record (and the
   // leaf payload if `id` is a leaf) from the CPU: charges communication and
@@ -276,13 +218,6 @@ class DistStore {
   const PimKdConfig& cfg_;
   pim::PimSystem<ModuleState>& sys_;
   NodePool& pool_;
-  // Migration placement overrides: id -> pinned master module. Consulted by
-  // master_of before the hash; empty in the common (no-migration) case.
-  std::unordered_map<NodeId, std::uint32_t> remap_;
-  // Read-heat counters (see note_hop). Mutable: charging heat from a const
-  // traversal is bookkeeping, not logical mutation of the store.
-  mutable std::unique_ptr<std::atomic<std::uint64_t>[]> heat_;
-  std::size_t heat_size_ = 0;
   // Charge batching (see ChargeBatch): per-module sums.
   std::vector<PendingCharge> pending_;
   bool batch_open_ = false;

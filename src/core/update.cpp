@@ -406,7 +406,6 @@ void PimKdTree::repair_groups_batch(const std::vector<NodeId>& touched) {
 
 std::vector<PointId> PimKdTree::insert(std::span<const Point> pts) {
   validate_points(pts, cfg_.dim, "insert");
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   pim::TraceScope span(sys_.metrics(), "insert", pts.size());
   std::vector<PointId> new_ids;
   new_ids.reserve(pts.size());
@@ -470,7 +469,6 @@ std::vector<PointId> PimKdTree::insert(std::span<const Point> pts) {
 }
 
 void PimKdTree::erase(std::span<const PointId> ids) {
-  const WriteGate gate(*this);  // wait out in-flight pinned read phases
   pim::TraceScope span(sys_.metrics(), "erase", ids.size());
   std::vector<PointId> victims;
   victims.reserve(ids.size());

@@ -12,9 +12,10 @@ namespace pimkd::durability {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'K', 'D', 'C', 'K', 'P', 'T', '1'};
-// v2: the storage record gained the migration remap section (placement
-// overrides). v1 files are rejected rather than silently restored to hash
-// placement.
+// v2: the storage record ends with a placement-override count. Live
+// migration, which wrote overrides, was removed; this build always writes
+// zero and rejects a non-zero count (the slot goes with the next format
+// bump). v1 files are rejected.
 constexpr std::uint32_t kVersion = 2;
 
 // Record tags (fixed file order: meta, host, nodes, storage, end).
@@ -148,18 +149,7 @@ void Checkpoint::write_storage(const core::PimKdTree& t, ByteWriter& w) {
   }
   w.u64(n_stale);
   w.raw(stale.bytes().data(), stale.size());
-  // Migration placement overrides (v2): id -> pinned master module, ascending
-  // by id. Without these a restored tree would re-derive hash placement and
-  // disagree with the registry intent serialized above.
-  std::vector<core::NodeId> remapped;
-  remapped.reserve(t.store_.remap_.size());
-  for (const auto& [id, mod] : t.store_.remap_) remapped.push_back(id);
-  std::sort(remapped.begin(), remapped.end());
-  w.u64(remapped.size());
-  for (const core::NodeId id : remapped) {
-    w.u64(id);
-    w.u32(t.store_.remap_.at(id));
-  }
+  w.u64(0);  // v2 placement-override count: placement is always the hash
 }
 
 Status Checkpoint::read_meta(ByteReader& r, core::PimKdConfig& cfg, Checkpoint::Info& info) {
@@ -332,22 +322,13 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
     rep->counter = counter;
   }
 
-  std::uint64_t n_remap = 0;
-  if (!r.u64(n_remap)) return corrupt("storage record truncated (remap)");
-  core::NodeId prev_remap = 0;
-  for (std::uint64_t i = 0; i < n_remap; ++i) {
-    core::NodeId id = 0;
-    std::uint32_t m = 0;
-    if (!r.u64(id) || !r.u32(m))
-      return corrupt("storage record truncated (remap)");
-    if (i > 0 && id <= prev_remap)
-      return corrupt("storage record: remap ids not ascending");
-    prev_remap = id;
-    if (!t.pool_.contains(id))
-      return corrupt("storage record: remap entry for unknown node");
-    if (m >= P) return corrupt("storage record: remap module out of range");
-    t.store_.remap_[id] = m;
-  }
+  std::uint64_t n_overrides = 0;
+  if (!r.u64(n_overrides))
+    return corrupt("storage record truncated (placement overrides)");
+  if (n_overrides != 0)
+    return corrupt(
+        "storage record carries placement overrides (live migration was "
+        "removed)");
   if (r.remaining() != 0) return corrupt("storage record has trailing bytes");
   return Status::Ok();
 }
@@ -355,20 +336,12 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
 Status Checkpoint::serialize(const core::PimKdTree& tree, std::uint64_t wal_seq,
                              std::vector<std::uint8_t>& out, Info* info) {
   out.clear();
-  // Reads keep running while we serialize; mutators wait at their write gate
-  // until the pin drops. The pin also validates at the end that no mutation
-  // slipped past the gate mid-serialization.
-  const core::PimKdTree::ReadPin pin = tree.pin_reads();
-
   out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
   ByteWriter meta, host, nodes, storage;
   write_meta(tree, wal_seq, meta);
   write_host(tree, host);
   write_nodes(tree, nodes);
   write_storage(tree, storage);
-  if (!pin.valid())
-    return Status::Error(StatusCode::kUnavailable,
-                         "checkpoint: a mutation raced the serialization");
 
   append_record(out, kTagMeta, meta.bytes());
   append_record(out, kTagHost, host.bytes());

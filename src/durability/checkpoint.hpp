@@ -59,9 +59,9 @@ class Checkpoint {
     std::uint64_t bytes = 0;           // serialized size
   };
 
-  // Serializes `tree` (under a ReadPin: concurrent reads keep running,
-  // mutators wait) into a complete file image. `wal_seq` is the watermark
-  // recorded in the meta record.
+  // Serializes `tree` into a complete file image. The caller must not
+  // mutate the tree meanwhile (PimKdTree is externally synchronised).
+  // `wal_seq` is the watermark recorded in the meta record.
   static Status serialize(const core::PimKdTree& tree, std::uint64_t wal_seq,
                           std::vector<std::uint8_t>& out, Info* info = nullptr);
 

@@ -1,10 +1,10 @@
 // Serve-layer write-ahead log (DESIGN.md §10).
 //
 // The scheduler appends one frame per *applied* write batch — after
-// PimKdTree::insert/erase succeeded on the EXEC stage, before the batch's
-// futures resolve on RESOLVE. The log therefore records exactly the applied
-// history: a crash between apply and append loses only a batch whose clients
-// were never acked, and a frame that is present was applied in full.
+// PimKdTree::insert/erase succeeded, before the batch's futures resolve.
+// The log therefore records exactly the applied history: a crash between
+// apply and append loses only a batch whose clients were never acked, and a
+// frame that is present was applied in full.
 // Caching-mode switches (the adaptive controller) get their own frames so
 // replay reproduces the replication state too.
 //

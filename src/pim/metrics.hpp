@@ -19,12 +19,10 @@
 // are sums of commutative adds and therefore deterministic across thread
 // counts. Round boundaries (begin/end) are control points and must be called
 // from a single thread. "A single thread" is a serialization requirement,
-// not a thread-identity one: the pipelined serve scheduler (DESIGN.md §8.5)
-// moves all tree execution — and therefore all round control — onto its one
-// EXEC stage thread, with the StageQueue handoff providing the
-// happens-before edge from the thread that ran the build. Per-stage
-// attribution stays byte-identical because the charge sequence is a pure
-// function of the executed batch sequence, never of which thread issues it.
+// not a thread-identity one: a serve scheduler's background pump may drive a
+// tree that another thread built, provided the handoff is synchronised. The
+// ledger stays byte-identical because the charge sequence is a pure function
+// of the executed batch sequence, never of which thread issues it.
 //
 // Every algorithm in this library runs against a Metrics instance; benches
 // diff Snapshots taken before/after an operation batch.
@@ -70,9 +68,9 @@ struct Snapshot {
   std::string to_string() const;
 };
 
-// Per-module load sample: the public vocabulary every epoch-boundary
-// controller (replication, migration) and bench speaks,
-// instead of each reading raw ledger counters. Values are lifetime totals —
+// Per-module load sample: the public vocabulary the epoch-boundary
+// replication controller (DESIGN.md §9.4) and the benches speak, instead of
+// each reading raw ledger counters. Values are lifetime totals —
 // sums of commutative adds, so thread-count invariant; controllers that want
 // per-epoch activity keep the previous report and call delta_since().
 struct LoadReport {

@@ -58,7 +58,7 @@ struct FrontendConfig {
   // (virtual-time mode, fully deterministic).
   std::function<std::uint64_t()> clock;
 
-  // Named-field std::invalid_argument (DESIGN.md §13.3). Zero sizes are not
+  // Named-field std::invalid_argument (DESIGN.md §9.5). Zero sizes are not
   // errors: they clamp to 1, as in the scheduler.
   void validate() const;
 };

@@ -297,6 +297,52 @@ TEST(Checkpoint, AnyCorruptByteIsDetected) {
   }
 }
 
+TEST(Checkpoint, PlacementOverridesAreRejected) {
+  // Format v2 ends the storage record with a placement-override count. This
+  // build always writes 0 (placement is the hash) and must refuse a
+  // checkpoint that carries overrides instead of restoring its nodes to
+  // modules they were never placed on.
+  TempDir dir;
+  auto tree = worked_tree(small_cfg(), 120);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(Checkpoint::serialize(*tree, 0, image, nullptr).ok());
+
+  constexpr std::size_t kMagicBytes = 8;
+  constexpr std::uint32_t kTagStorage = 4;
+  std::vector<std::uint8_t> forged(image.begin(), image.begin() + kMagicBytes);
+  std::size_t pos = kMagicBytes;
+  bool rewrote = false;
+  while (pos < image.size()) {
+    Record rec;
+    ASSERT_TRUE(read_record(image, pos, rec));
+    std::vector<std::uint8_t> body(rec.body, rec.body + rec.len);
+    if (rec.tag == kTagStorage) {
+      ASSERT_GE(body.size(), 8u);
+      std::uint64_t count = 1;
+      std::memcpy(&count, body.data() + body.size() - 8, 8);
+      ASSERT_EQ(count, 0u) << "the writer must emit an empty override list";
+      body.resize(body.size() - 8);
+      ByteWriter entry;
+      entry.u64(1);              // one override ...
+      entry.u64(tree->root());   // ... pinning a node that exists
+      entry.u32(1);              // ... to an in-range module
+      body.insert(body.end(), entry.bytes().begin(), entry.bytes().end());
+      rewrote = true;
+    }
+    append_record(forged, rec.tag, body);  // fresh CRC
+  }
+  ASSERT_TRUE(rewrote);
+  spit(dir.file("forged.ckpt"), forged);
+
+  std::unique_ptr<core::PimKdTree> back;
+  const Status s = Checkpoint::load(dir.file("forged.ckpt"), back, nullptr);
+  EXPECT_EQ(s.code, StatusCode::kCorruptState) << s.message;
+  EXPECT_EQ(s.message,
+            "checkpoint: storage record carries placement overrides (live "
+            "migration was removed)");
+  EXPECT_EQ(back, nullptr);
+}
+
 TEST(Checkpoint, FrontierEquality) {
   // The soak test's core check, deterministically: state(checkpoint) + the
   // same update batches == state(live tree), hash-for-hash.
@@ -776,62 +822,57 @@ TEST(Manager, ReplayBaseMismatchIsCorruptState) {
 // --- Scheduler integration: acked => durable -----------------------------------
 
 TEST(SchedulerDurability, ServedWritesSurviveRecovery) {
-  for (const bool pipelined : {false, true}) {
-    TempDir dir;
-    auto cfg = small_cfg(8);
-    const auto initial = gen_uniform({.n = 300, .dim = 2, .seed = 40});
-    core::PimKdTree tree(cfg, initial);
+  TempDir dir;
+  auto cfg = small_cfg(8);
+  const auto initial = gen_uniform({.n = 300, .dim = 2, .seed = 40});
+  core::PimKdTree tree(cfg, initial);
 
-    ManagerConfig mc;
-    mc.dir = dir.file("d");
-    mc.checkpoint_every_epochs = 4;  // rotations under live traffic
-    std::unique_ptr<Manager> mgr;
-    ASSERT_TRUE(Manager::create(mc, tree, mgr).ok());
+  ManagerConfig mc;
+  mc.dir = dir.file("d");
+  mc.checkpoint_every_epochs = 4;  // rotations under live traffic
+  std::unique_ptr<Manager> mgr;
+  ASSERT_TRUE(Manager::create(mc, tree, mgr).ok());
 
-    serve::SchedulerConfig sc;
-    sc.policy = serve::Policy::kFixedSize;
-    sc.batch_size = 8;
-    sc.pipeline = pipelined;
-    sc.durability = mgr.get();
-    std::uint64_t frames = 0, checkpoints = 0;
-    {
-      serve::BatchScheduler sched(tree, sc);
-      std::vector<std::future<serve::Response>> futs;
-      const auto extra = gen_uniform({.n = 60, .dim = 2, .seed = 41});
-      std::uint64_t tick = 0;
-      for (std::size_t i = 0; i < extra.size(); ++i) {
-        futs.push_back(sched.submit(serve::Request::insert(extra[i]), tick));
-        if (i % 3 == 2)
-          futs.push_back(sched.submit(
-              serve::Request::erase(static_cast<PointId>(i)), tick));
-        futs.push_back(
-            sched.submit(serve::Request::knn(extra[i], 2), tick));
-        ++tick;
-        sched.pump(tick);
-      }
-      sched.flush(++tick);
-      for (auto& f : futs) {
-        const auto r = f.get();
-        EXPECT_TRUE(r.ok()) << r.error;
-      }
-      const serve::ServeStats st = sched.stats();
-      EXPECT_GT(st.wal_frames, 0u);
-      EXPECT_EQ(st.wal_failures, 0u);
-      frames = st.wal_frames;
-      checkpoints = st.checkpoints;
-      sched.stop();
+  serve::SchedulerConfig sc;
+  sc.policy = serve::Policy::kFixedSize;
+  sc.batch_size = 8;
+  sc.durability = mgr.get();
+  std::uint64_t frames = 0, checkpoints = 0;
+  {
+    serve::BatchScheduler sched(tree, sc);
+    std::vector<std::future<serve::Response>> futs;
+    const auto extra = gen_uniform({.n = 60, .dim = 2, .seed = 41});
+    std::uint64_t tick = 0;
+    for (std::size_t i = 0; i < extra.size(); ++i) {
+      futs.push_back(sched.submit(serve::Request::insert(extra[i]), tick));
+      if (i % 3 == 2)
+        futs.push_back(sched.submit(
+            serve::Request::erase(static_cast<PointId>(i)), tick));
+      futs.push_back(sched.submit(serve::Request::knn(extra[i], 2), tick));
+      ++tick;
+      sched.pump(tick);
     }
-    EXPECT_GT(checkpoints, 0u) << "cadence checkpoints never fired";
-    EXPECT_EQ(mgr->stats().frames, frames);
-
-    RecoveryResult rec;
-    ASSERT_TRUE(Manager::recover_from(mc.dir, rec).ok());
-    EXPECT_EQ(rec.state_hash, Checkpoint::hash(tree))
-        << (pipelined ? "pipelined" : "serial")
-        << " engine: recovered state != live state";
-    EXPECT_TRUE(rec.tree->check_integrity().ok);
-    expect_same_answers(tree, *rec.tree);
+    sched.flush(++tick);
+    for (auto& f : futs) {
+      const auto r = f.get();
+      EXPECT_TRUE(r.ok()) << r.error;
+    }
+    const serve::ServeStats st = sched.stats();
+    EXPECT_GT(st.wal_frames, 0u);
+    EXPECT_EQ(st.wal_failures, 0u);
+    frames = st.wal_frames;
+    checkpoints = st.checkpoints;
+    sched.stop();
   }
+  EXPECT_GT(checkpoints, 0u) << "cadence checkpoints never fired";
+  EXPECT_EQ(mgr->stats().frames, frames);
+
+  RecoveryResult rec;
+  ASSERT_TRUE(Manager::recover_from(mc.dir, rec).ok());
+  EXPECT_EQ(rec.state_hash, Checkpoint::hash(tree))
+      << "recovered state != live state";
+  EXPECT_TRUE(rec.tree->check_integrity().ok);
+  expect_same_answers(tree, *rec.tree);
 }
 
 TEST(SchedulerDurability, WalFailureIsFailStop) {

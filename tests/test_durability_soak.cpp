@@ -1,4 +1,4 @@
-// Kill-restart soak (DESIGN.md §10, acceptance criterion): a live pipelined
+// Kill-restart soak (DESIGN.md §10, acceptance criterion): a live serving
 // scheduler with a kEveryBatch WAL is SIGKILLed mid-epoch at a seeded random
 // moment, 30+ times; after every kill, recovery must land on a batch-aligned
 // frontier that contains every acknowledged write, pass check_integrity, and
@@ -7,7 +7,7 @@
 // Structure (custom main, like test_determinism.cpp): the parent forks this
 // binary as `--soak-child <dir> <seed>`. The child builds a tree, attaches a
 // durability Manager (kEveryBatch, checkpoints under fire), serves a
-// deterministic update stream through the *pipelined* scheduler, and appends
+// deterministic update stream through the scheduler, and appends
 // one line to <dir>/acks per resolved write future — so every complete line
 // is a write the client saw acknowledged, which under kEveryBatch means a
 // synced WAL frame. The parent waits for <dir>/ready, sleeps a seeded
@@ -132,8 +132,6 @@ int soak_child(const std::string& dir, std::uint64_t seed) {
   serve::SchedulerConfig sc;
   sc.policy = serve::Policy::kFixedSize;
   sc.batch_size = kBatchSize;
-  sc.pipeline = true;
-  sc.pipeline_depth = 3;
   sc.durability = mgr.get();
   serve::BatchScheduler sched(tree, sc);
 
@@ -159,8 +157,9 @@ int soak_child(const std::string& dir, std::uint64_t seed) {
       ++tick;
       sched.pump(tick);
     }
-    // Lag the acks ~2 batches behind submission so the pipeline stays full
-    // while every resolved future is still recorded promptly.
+    // Lag the acks ~2 batches behind submission, so a kill can land between
+    // a batch's durable resolution and its ack line, while every resolved
+    // future is still recorded promptly.
     while (futs.size() > 2 * kBatchSize) {
       const serve::Response r = futs.front().get();
       futs.pop_front();

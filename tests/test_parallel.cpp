@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "parallel/stage_queue.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/random.hpp"
 
@@ -265,57 +264,6 @@ TEST(GroupBy, Empty) {
   const auto g = group_by({});
   EXPECT_TRUE(g.keys.empty());
   EXPECT_EQ(g.offsets.size(), 1u);
-}
-
-// --- StageQueue (pipelined serve stages) ---------------------------------------
-
-TEST(StageQueue, RunsClosuresInSubmissionOrder) {
-  parallel::StageQueue q("t");
-  std::vector<int> order;
-  for (int i = 0; i < 200; ++i) q.submit([&order, i] { order.push_back(i); });
-  q.drain();
-  ASSERT_EQ(order.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
-  // drain() is a full barrier: reusable afterwards.
-  q.submit([&order] { order.push_back(-1); });
-  q.drain();
-  EXPECT_EQ(order.back(), -1);
-}
-
-TEST(StageQueue, StageHandoffPreservesOrder) {
-  // The scheduler's EXEC -> RESOLVE pattern: stage A forwards each item to
-  // stage B; B must observe A's items in A's (= submission) order, with the
-  // handoff providing the happens-before edge.
-  parallel::StageQueue a("exec");
-  parallel::StageQueue b("resolve");
-  std::vector<int> seen;
-  for (int i = 0; i < 100; ++i)
-    a.submit([&b, &seen, i] { b.submit([&seen, i] { seen.push_back(i); }); });
-  a.drain();
-  b.drain();
-  ASSERT_EQ(seen.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i);
-}
-
-TEST(StageQueue, StopIsIdempotentAndDrains) {
-  parallel::StageQueue q("t");
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) q.submit([&ran] { ran.fetch_add(1); });
-  q.stop();
-  EXPECT_EQ(ran.load(), 50);
-  q.stop();  // second stop is a no-op
-  EXPECT_THROW(q.submit([] {}), std::logic_error);
-}
-
-TEST(StageQueue, ClosureExceptionRethrownFromDrain) {
-  parallel::StageQueue q("t");
-  std::atomic<bool> later{false};
-  q.submit([] { throw std::runtime_error("boom"); });
-  q.submit([&later] { later.store(true); });  // still runs after the throw
-  EXPECT_THROW(q.drain(), std::runtime_error);
-  EXPECT_TRUE(later.load());
-  q.drain();  // the error is consumed; the queue is healthy again
-  q.stop();
 }
 
 }  // namespace

@@ -454,6 +454,31 @@ TEST(Scheduler, AdaptivePolicyRunsControllerAtEpochBoundaries) {
   EXPECT_EQ(sched2.replication_controller(), nullptr);
 }
 
+TEST(Scheduler, TryCreateMirrorsValidate) {
+  // Status twin of the constructor (DESIGN.md §9.5): a bad controller config
+  // throws from validate() and comes back from try_create as
+  // kInvalidArgument naming the field, with no scheduler built.
+  const auto pts = gen_uniform({.n = 1000, .dim = 2, .seed = 10});
+  core::PimKdTree tree(small_cfg(8), pts);
+
+  SchedulerConfig bad;
+  bad.controllers.replication = true;
+  bad.controllers.replication_cfg.hysteresis = 0.5;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  std::unique_ptr<BatchScheduler> out;
+  const Status s = BatchScheduler::try_create(tree, bad, out);
+  EXPECT_EQ(s.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(out, nullptr);
+  EXPECT_NE(s.message.find("hysteresis"), std::string::npos) << s.message;
+
+  SchedulerConfig good;
+  good.controllers.replication = true;
+  ASSERT_TRUE(BatchScheduler::try_create(tree, good, out).ok());
+  ASSERT_NE(out, nullptr);
+  EXPECT_NE(out->replication_controller(), nullptr);
+  out->stop();
+}
+
 TEST(Scheduler, ConcurrentProducersAllServed) {
   auto cfg = small_cfg();
   const auto pts = gen_uniform({.n = 1024, .dim = 2, .seed = 10});
@@ -482,143 +507,6 @@ TEST(Scheduler, ConcurrentProducersAllServed) {
   EXPECT_EQ(st.completed, kProducers * kPer);
   EXPECT_EQ(st.rejected, 0u);
   EXPECT_EQ(st.completed + st.rejected, st.submitted);
-}
-
-// --- Pipelined epoch execution -------------------------------------------------
-
-TEST(PipelinedScheduler, EraseThenKnnSameEpochSeesSnapshot) {
-  // The epoch-versioned read contract is engine-independent: under
-  // pipelining, reads admitted with an erase still see the pre-erase
-  // snapshot because EXEC runs the epoch's reads before its writes.
-  auto cfg = small_cfg(4);
-  std::vector<Point> pts = {pt(0.1, 0.1), pt(0.2, 0.2), pt(0.8, 0.8),
-                            pt(0.9, 0.9)};
-  core::PimKdTree tree(cfg, pts);
-
-  SchedulerConfig sc;
-  sc.policy = Policy::kDeadline;
-  sc.pipeline = true;
-  BatchScheduler sched(tree, sc);
-
-  auto f_erase = sched.submit(Request::erase(0), 0);
-  auto f_knn = sched.submit(Request::knn(pt(0.1, 0.1), 1), 0);
-  EXPECT_EQ(sched.flush(1), 2u);  // admitted; flush drains the pipeline
-
-  const Response rk = f_knn.get();
-  ASSERT_TRUE(rk.ok()) << rk.error;
-  ASSERT_EQ(rk.neighbors.size(), 1u);
-  EXPECT_EQ(rk.neighbors[0].id, 0u) << "same-epoch read must see the snapshot";
-  EXPECT_EQ(rk.epoch, 0u);
-  const Response re = f_erase.get();
-  EXPECT_TRUE(re.ok());
-  EXPECT_TRUE(re.erased);
-  EXPECT_EQ(re.epoch, 1u);
-  EXPECT_EQ(sched.epoch(), 1u);
-
-  auto f_knn2 = sched.submit(Request::knn(pt(0.1, 0.1), 1), 2);
-  EXPECT_EQ(sched.flush(3), 1u);
-  const Response rk2 = f_knn2.get();
-  ASSERT_EQ(rk2.neighbors.size(), 1u);
-  EXPECT_NE(rk2.neighbors[0].id, 0u);
-  EXPECT_EQ(rk2.epoch, 1u);
-  EXPECT_EQ(sched.stats().read_straddles, 0u);
-}
-
-TEST(PipelinedScheduler, ProjectionKeepsInsertIdsExact) {
-  // FORM never reads the tree under pipelining; the projection must mirror
-  // id assignment exactly so the generator/oracle id model still holds.
-  auto cfg = small_cfg();
-  const auto pts = gen_uniform({.n = 100, .dim = 2, .seed = 8});
-  core::PimKdTree tree(cfg, pts);
-  SchedulerConfig sc;
-  sc.policy = Policy::kFixedSize;
-  sc.batch_size = 3;
-  sc.pipeline = true;
-  sc.pipeline_depth = 2;
-  BatchScheduler sched(tree, sc);
-
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 9; ++i)
-    futs.push_back(sched.submit(Request::insert(pt(0.9 + 0.005 * i, 0.9)), i));
-  sched.pump(9);   // three batches stream through a depth-2 pipeline
-  sched.flush(10);
-  for (int i = 0; i < 9; ++i) {
-    const Response r = futs[i].get();
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.inserted_id, static_cast<PointId>(100 + i));
-    EXPECT_TRUE(tree.is_live(r.inserted_id));
-  }
-  EXPECT_EQ(tree.size(), 109u);
-}
-
-TEST(PipelinedScheduler, StopMidFlightResolvesEverythingExactlyOnce) {
-  // stop() with epochs still in the pipeline and requests still pending:
-  // every outstanding future resolves exactly once, accepted work executes.
-  auto cfg = small_cfg();
-  const auto pts = gen_uniform({.n = 256, .dim = 2, .seed = 14});
-  core::PimKdTree tree(cfg, pts);
-
-  SchedulerConfig sc;
-  sc.policy = Policy::kFixedSize;
-  sc.batch_size = 4;
-  sc.pipeline = true;
-  sc.pipeline_depth = 2;
-  BatchScheduler sched(tree, sc);
-
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 10; ++i)
-    futs.push_back(sched.submit(Request::knn(pts[i], 2), i));
-  futs.push_back(sched.submit(Request::insert(pt(0.5, 0.5)), 10));
-  sched.pump(10);  // two full batches admitted; 3 requests remain queued
-  sched.stop();    // must drain the pipeline AND flush the remainder
-
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
-        << "stop() left a future unresolved under pipelining";
-    const Response r = f.get();
-    EXPECT_TRUE(r.ok()) << r.error;
-  }
-  const ServeStats st = sched.stats();
-  EXPECT_EQ(st.completed, 11u);
-  EXPECT_EQ(st.submitted, 11u);
-
-  auto late = sched.submit(Request::knn(pts[0], 1), 99);
-  EXPECT_FALSE(late.get().ok());
-  EXPECT_EQ(sched.stats().rejected, 1u);
-}
-
-TEST(PipelinedScheduler, BackpressureBoundsInFlightEpochs) {
-  auto cfg = small_cfg();
-  const auto pts = gen_uniform({.n = 512, .dim = 2, .seed = 15});
-  core::PimKdTree tree(cfg, pts);
-  SchedulerConfig sc;
-  sc.policy = Policy::kFixedSize;
-  sc.batch_size = 8;
-  sc.pipeline = true;
-  sc.pipeline_depth = 1;  // FORM must wait for each epoch to finalize
-  BatchScheduler sched(tree, sc);
-
-  // Each round pushes 4 back-to-back batches through the depth-1 pipeline;
-  // FORM stalls unless every epoch fully finalizes within the microseconds
-  // between two enqueues. Feed rounds until a stall registers (bounded — in
-  // practice the first round stalls).
-  std::vector<std::future<Response>> futs;
-  std::uint64_t tick = 0;
-  for (int round = 0; round < 50 && sched.stats().pipeline_stalls == 0;
-       ++round) {
-    for (int i = 0; i < 32; ++i)
-      futs.push_back(
-          sched.submit(Request::knn(pts[(round * 32 + i) % 512], 4), tick));
-    tick += 32;
-    EXPECT_EQ(sched.pump(tick), 32u);
-  }
-  sched.flush(++tick);
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  const ServeStats st = sched.stats();
-  EXPECT_EQ(st.completed, futs.size());
-  EXPECT_GE(st.pipeline_stalls, 1u)
-      << "depth-1 pipeline never blocked formation across "
-      << st.batches << " batches";
 }
 
 // --- Ledger equivalence: served vs hand-batched --------------------------------
@@ -743,24 +631,6 @@ TEST(ServeDeterminism, BatchesResultsAndLedgerInvariantAcrossThreadCounts) {
          "PIMKD_THREADS";
 }
 
-TEST(ServeDeterminism, PipelinedByteIdenticalToSerialEngine) {
-  // The tentpole acceptance criterion (DESIGN.md §8.5): in virtual-tick mode
-  // the pipelined engine's batch log, per-request results, ticks, cost
-  // ledger and execution trace are byte-identical to the serial engine's, at
-  // every thread count — only wall-clock overlap may change.
-  const std::string exe = self_exe();
-  ASSERT_FALSE(exe.empty());
-  const std::string ref = run_child(exe, 1, "--serve-child serial");
-  ASSERT_FALSE(ref.empty());
-  ASSERT_NE(ref.find("trace="), std::string::npos);
-  for (const int threads : {1, 4, 8}) {
-    EXPECT_EQ(run_child(exe, threads, "--serve-child pipelined"), ref)
-        << "pipelined engine diverged from serial at PIMKD_THREADS="
-        << threads;
-  }
-  EXPECT_EQ(run_child(exe, 4, "--serve-child serial"), ref);
-}
-
 TEST(ServeDeterminism, ShardedWorkloadInvariantAcrossThreadCounts) {
   // gen_sharded_workload draws every producer's stream from a private RNG:
   // the generated bytes must not depend on how many threads ran stage 1.
@@ -777,9 +647,8 @@ TEST(ServeDeterminism, ShardedWorkloadInvariantAcrossThreadCounts) {
 // a Zipfian key stream, and the tradeoff policy with a deadline fallback.
 // Prints the batch log, a result hash (payloads AND ticks), the ledger hash
 // and a hash of the execution trace file — all of which must be invariant
-// under PIMKD_THREADS, and identical between the serial and pipelined
-// engines.
-int serve_child(bool pipelined) {
+// under PIMKD_THREADS.
+int serve_child() {
   WorkloadSpec spec;
   spec.mix = MixKind::kScanHeavy;
   spec.initial_points = 6000;
@@ -818,8 +687,6 @@ int serve_child(bool pipelined) {
     sc.batch_size = 32;
     sc.max_batch = 512;
     sc.deadline_ticks = 200;
-    sc.pipeline = pipelined;
-    sc.pipeline_depth = 3;
     BatchScheduler sched(tree, sc);
 
     std::vector<std::future<Response>> futs;
@@ -841,7 +708,7 @@ int serve_child(bool pipelined) {
       for (const auto id : r.ids) rh = mix64(rh, id);
       rh = mix64(rh, r.count);
       // Virtual-tick mode: dispatch and completion ticks are part of the
-      // deterministic contract, for both engines.
+      // deterministic contract.
       rh = mix64(rh, r.submit_tick);
       rh = mix64(rh, r.dispatch_tick);
       rh = mix64(rh, r.complete_tick);
@@ -979,10 +846,8 @@ TEST(ShardedWorkload, RepeatedGenerationIsIdentical) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "--serve-child") {
-    const bool pipelined = argc >= 3 && std::string(argv[2]) == "pipelined";
-    return serve_child(pipelined);
-  }
+  if (argc >= 2 && std::string(argv[1]) == "--serve-child")
+    return serve_child();
   if (argc >= 2 && std::string(argv[1]) == "--shard-child") return shard_child();
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

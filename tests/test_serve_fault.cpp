@@ -81,25 +81,19 @@ struct ServedRun {
   bool degraded_at_end = false;
 };
 
-ServedRun serve_stream(core::PimKdTree& tree, const ServeWorkload& w,
-                       bool pipeline = false,
-                       const ControllersConfig& controllers = {}) {
+ServedRun serve_stream(core::PimKdTree& tree, const ServeWorkload& w) {
   ServedRun out;
   out.rounds_after_build = tree.metrics().snapshot().rounds;
   SchedulerConfig sc;
   sc.policy = Policy::kFixedSize;
   sc.batch_size = 64;
-  sc.pipeline = pipeline;
-  sc.controllers = controllers;
   BatchScheduler sched(tree, sc);
   std::vector<std::future<Response>> futs;
   futs.reserve(w.ops.size());
   for (const WorkloadOp& op : w.ops) {
     futs.push_back(sched.submit(to_request(op), op.tick));
     sched.pump(op.tick);
-    // Under pipelining the tree is being mutated on the EXEC stage thread;
-    // polling degraded() from here would race. Checked after the flush.
-    if (!pipeline && tree.degraded()) out.degraded_mid_stream = true;
+    if (tree.degraded()) out.degraded_mid_stream = true;
   }
   sched.flush(w.ops.size());
   for (auto& f : futs) out.responses.push_back(f.get());
@@ -204,125 +198,6 @@ TEST(ServeFault, MidStreamCrashDegradedExactAndRecovery) {
   const Response r = f.get();
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.neighbors.size(), 4u);
-}
-
-TEST(ServeFault, PipelinedMidStreamCrashExactAndRecovery) {
-  // The same mid-stream module crash, served through the pipelined engine:
-  // the fault fires on the EXEC stage thread, degraded-mode fallbacks run
-  // there, and still no request is lost, duplicated, or inexact. Extends the
-  // exactly-once guarantee of stop()/flush() to crashes under pipelining.
-  WorkloadSpec spec = mix_spec(MixKind::kUpdateHeavy);
-  spec.initial_points = 3000;
-  spec.requests = 800;
-  spec.seed = 55;
-  const ServeWorkload w = gen_serve_workload(spec);
-
-  // Calibrate on the serial engine: the two engines charge rounds
-  // identically (test_serve pins byte-identical ledgers), so the serial
-  // round window locates the crash for the pipelined run too.
-  std::uint64_t mid_round = 0;
-  {
-    core::PimKdTree tree(serve_cfg(16), w.initial);
-    const ServedRun run = serve_stream(tree, w);
-    ASSERT_FALSE(run.degraded_at_end);
-    ASSERT_GT(run.rounds_after_stream, run.rounds_after_build + 4);
-    mid_round = (run.rounds_after_build + run.rounds_after_stream) / 2;
-  }
-
-  const std::string fault = "crash@" + std::to_string(mid_round) + ":m3";
-  core::PimKdTree tree(serve_cfg(16, fault), w.initial);
-  const ServedRun run = serve_stream(tree, w, /*pipeline=*/true);
-
-  EXPECT_TRUE(run.degraded_at_end)
-      << "crash was scheduled at round " << mid_round
-      << " but the tree never degraded";
-  check_run_exact(w, run);
-
-  const auto reports = tree.recover_all();
-  ASSERT_FALSE(reports.empty());
-  for (const auto& rep : reports) EXPECT_TRUE(rep.integrity_ok);
-  EXPECT_TRUE(tree.check_integrity().ok);
-  EXPECT_FALSE(tree.degraded());
-
-  // And the repaired tree keeps serving — again through the pipeline.
-  SchedulerConfig sc;
-  sc.policy = Policy::kDeadline;
-  sc.pipeline = true;
-  BatchScheduler sched(tree, sc);
-  auto f = sched.submit(Request::knn(w.initial[0], 4), 0);
-  sched.flush(1);
-  const Response r = f.get();
-  EXPECT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.neighbors.size(), 4u);
-}
-
-TEST(ServeFault, MigrationUnderMidStreamCrashStaysExactAndRecovers) {
-  // A Zipf-hot served stream with the migration planner on: components are
-  // moving between modules while a module crash fires mid-stream. Nothing
-  // may be lost or inexact — degraded reads fall back to the host mirror —
-  // and after recover_all() the repaired system keeps serving, planner
-  // still enabled.
-  WorkloadSpec spec = mix_spec(MixKind::kReadHeavy);
-  spec.initial_points = 4000;
-  spec.requests = 1200;
-  spec.zipf_theta = 1.2;  // hot keys: concentrated heat, skewed comm
-  spec.seed = 91;
-  const ServeWorkload w = gen_serve_workload(spec);
-
-  ControllersConfig cc;
-  cc.migration = true;
-  cc.migration_cfg.migration_num = 4;
-  cc.migration_cfg.overload_ratio = 1.05;
-  cc.migration_cfg.min_epoch_gap = 1;
-  cc.migration_cfg.min_ops = 1;
-  cc.migration_cfg.min_heat = 1;
-
-  // Calibration run (no faults): locate the stream's round window, and make
-  // sure the stream actually migrates — a vacuous crash test proves nothing.
-  std::uint64_t mid_round = 0;
-  {
-    core::PimKdTree tree(serve_cfg(16), w.initial);
-    const ServedRun run = serve_stream(tree, w, /*pipeline=*/false, cc);
-    ASSERT_FALSE(run.degraded_at_end);
-    ASSERT_GT(run.rounds_after_stream, run.rounds_after_build + 4);
-    ASSERT_GT(run.stats.migrations, 0u)
-        << "the Zipf stream must trip the migration planner";
-    mid_round = (run.rounds_after_build + run.rounds_after_stream) / 2;
-    check_run_exact(w, run);  // moves never change answers
-  }
-
-  // Faulty run: module 3 crashes at the mid-stream round barrier, possibly
-  // inside a migration's own shipping round.
-  const std::string fault = "crash@" + std::to_string(mid_round) + ":m3";
-  core::PimKdTree tree(serve_cfg(16, fault), w.initial);
-  const ServedRun run = serve_stream(tree, w, /*pipeline=*/false, cc);
-  EXPECT_TRUE(run.degraded_at_end)
-      << "crash was scheduled at round " << mid_round
-      << " but the tree never degraded";
-  check_run_exact(w, run);
-
-  const auto reports = tree.recover_all();
-  ASSERT_FALSE(reports.empty());
-  for (const auto& rep : reports) EXPECT_TRUE(rep.integrity_ok);
-  EXPECT_TRUE(tree.check_integrity().ok);
-  EXPECT_FALSE(tree.degraded());
-  EXPECT_TRUE(tree.check_invariants());
-
-  // Keep serving on the repaired system, planner still on.
-  SchedulerConfig sc;
-  sc.policy = Policy::kFixedSize;
-  sc.batch_size = 32;
-  sc.controllers = cc;
-  BatchScheduler sched(tree, sc);
-  std::vector<std::future<Response>> futs;
-  for (std::uint64_t i = 0; i < 32; ++i)
-    futs.push_back(sched.submit(Request::knn(w.initial[i], 4), i));
-  sched.flush(32);
-  for (auto& f : futs) {
-    const Response r = f.get();
-    EXPECT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.neighbors.size(), 4u);
-  }
 }
 
 TEST(ServeFault, DirectCrashBetweenEpochsKeepsServing) {
