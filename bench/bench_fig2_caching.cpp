@@ -1,4 +1,4 @@
-// E8 — Figure 2 (replication strategies) + the adaptive replication leg.
+// E8 — Figure 2 (replication strategies) + the static-mode mix sweep.
 //
 // Part 1 builds the same tree under the four strategies (none / top-down /
 // bottom-up / dual) and measures what each is good for:
@@ -9,14 +9,10 @@
 // leaf's module, then visit successive ancestors.
 //
 // Part 2 sweeps read/write mixes: for each mix it replays one deterministic
-// op stream under every static mode, then once more with the
-// AdaptiveReplicationController starting from a deliberately wrong mode.
-// The adaptive leg must land within 1.15x of the best static mode's total
-// communication (including its own re-replication cost) — the "adaptive_pass"
-// fields gate scripts/reproduce.sh. PIMKD_FIG2_SMOKE=1 shrinks everything
-// for CI crash-coverage (the gate is only evaluated on full runs).
+// op stream under every caching mode (fixed at construction) and reports
+// which mode moves the fewest words. PIMKD_FIG2_SMOKE=1 shrinks everything
+// for CI crash-coverage.
 #include "bench_util.hpp"
-#include "core/replication.hpp"
 
 using namespace pimkd;
 using namespace pimkd::bench;
@@ -42,13 +38,9 @@ std::uint64_t bottom_up_walk(core::PimKdTree& tree, core::NodeId leaf,
 // One epoch-structured op stream: `reads` kNN requests (through the unified
 // PimKdTree::query() facade) plus writes/2 inserts and writes/2 erases per
 // epoch, the erases retiring the previous epoch's inserts so the tree size
-// stays ~n0. Returns total communication. When `ctl` is set, the controller
-// observes every epoch boundary and may switch the caching mode; its
-// re-replication words land in the same ledger and are part of the total.
-std::uint64_t run_stream(core::PimKdTree& tree,
-                         core::AdaptiveReplicationController* ctl,
-                         std::span<const Point> all, std::size_t n0,
-                         std::size_t epochs, std::size_t reads,
+// stays ~n0. Returns total communication.
+std::uint64_t run_stream(core::PimKdTree& tree, std::span<const Point> all,
+                         std::size_t n0, std::size_t epochs, std::size_t reads,
                          std::size_t writes) {
   const auto before = tree.metrics().snapshot().communication;
   std::size_t next = n0;
@@ -67,7 +59,6 @@ std::uint64_t run_stream(core::PimKdTree& tree,
       if (!prev.empty()) tree.erase(prev);
       prev = std::move(ids);
     }
-    if (ctl) (void)ctl->on_epoch(reads, writes);
   }
   return tree.metrics().snapshot().communication - before;
 }
@@ -142,63 +133,47 @@ int main() {
       "log*P=%d (hops with caching)\n",
       std::log2(double(n)), log_star2(double(P)));
 
-  // --- Part 2: adaptive replication across read/write mixes ------------------
-  banner("E8b adaptive replication",
-         "adaptive controller vs best static mode per mix",
-         "adaptive total comm (incl. re-replication) within 1.15x of the "
-         "best static mode, from a deliberately wrong starting mode");
+  // --- Part 2: caching modes across read/write mixes ------------------------
+  banner("E8b caching modes across read/write mixes",
+         "total comm of one op stream under each static mode",
+         "the caching mode is a construction-time choice; the best one "
+         "depends on the mix");
   const std::size_t an = smoke ? 4000 : 20000;
   const std::size_t aP = 16;
   const std::size_t epochs = smoke ? 24 : 160;
-  const double gate = 1.15;
   const auto apts =
       gen_uniform({.n = an + epochs * 200 + 1000, .dim = 2, .seed = 7});
 
   struct MixSpec {
     const char* name;
     std::size_t reads, writes;
-    core::CachingMode adaptive_start;  // deliberately wrong for the mix
   };
   const MixSpec mixes[] = {
-      {"read95", 380, 20, core::CachingMode::kNone},
-      {"bal50", 200, 200, core::CachingMode::kDual},
-      {"write10", 40, 360, core::CachingMode::kDual},
+      {"read95", 380, 20},
+      {"bal50", 200, 200},
+      {"write10", 40, 360},
   };
   const core::CachingMode all_modes[] = {
       core::CachingMode::kNone, core::CachingMode::kTopDown,
       core::CachingMode::kBottomUp, core::CachingMode::kDual};
 
-  Table at({"mix", "none", "topdown", "bottomup", "dual", "adaptive",
-            "vs best", "switches", "final mode", "pass"});
-  bool all_ok = true;
+  Table at({"mix", "none", "topdown", "bottomup", "dual", "best mode"});
   for (const MixSpec& mix : mixes) {
     std::uint64_t comm[4] = {};
     for (const core::CachingMode mode : all_modes) {
       auto cfg = default_cfg(aP, 2, 42);
       cfg.caching = mode;
       core::PimKdTree tree(cfg, std::span<const Point>(apts.data(), an));
-      comm[static_cast<int>(mode)] = run_stream(
-          tree, nullptr, apts, an, epochs, mix.reads, mix.writes);
+      comm[static_cast<int>(mode)] =
+          run_stream(tree, apts, an, epochs, mix.reads, mix.writes);
     }
     std::size_t best = 0;
     for (std::size_t m = 1; m < 4; ++m)
       if (comm[m] < comm[best]) best = m;
 
-    auto cfg = default_cfg(aP, 2, 42);
-    cfg.caching = mix.adaptive_start;
-    core::PimKdTree tree(cfg, std::span<const Point>(apts.data(), an));
-    core::AdaptiveReplicationController ctl(tree);
-    const std::uint64_t adaptive = run_stream(
-        tree, &ctl, apts, an, epochs, mix.reads, mix.writes);
-    const double ratio =
-        double(adaptive) / double(std::max<std::uint64_t>(comm[best], 1));
-    const bool pass = smoke || ratio <= gate;  // gate evaluated on full runs
-    all_ok = all_ok && pass;
-
     at.row({mix.name, num(double(comm[0])), num(double(comm[1])),
-            num(double(comm[2])), num(double(comm[3])), num(double(adaptive)),
-            num(ratio), num(double(ctl.switches())),
-            core::caching_mode_name(ctl.mode()), pass ? "yes" : "NO"});
+            num(double(comm[2])), num(double(comm[3])),
+            core::caching_mode_name(all_modes[best])});
     Json row;
     row.set("mix", mix.name)
         .set("reads_per_epoch", std::uint64_t(mix.reads))
@@ -209,18 +184,9 @@ int main() {
         .set("comm_bottomup", comm[2])
         .set("comm_dual", comm[3])
         .set("best_static_mode", core::caching_mode_name(all_modes[best]))
-        .set("best_static_comm", comm[best])
-        .set("adaptive_start", core::caching_mode_name(mix.adaptive_start))
-        .set("adaptive_comm", adaptive)
-        .set("adaptive_ratio", ratio)
-        .set("adaptive_switches", ctl.switches())
-        .set("adaptive_final_mode", core::caching_mode_name(ctl.mode()))
-        .set("adaptive_pass", pass);
+        .set("best_static_comm", comm[best]);
     rep.add_row(row);
   }
   at.print();
-  std::printf("\nadaptive gate (<= %.2fx best static): %s%s\n", gate,
-              all_ok ? "PASS" : "FAIL",
-              smoke ? " (smoke: gate not evaluated)" : "");
   return 0;
 }

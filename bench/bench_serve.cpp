@@ -78,9 +78,8 @@ std::uint64_t hash_responses(std::vector<std::future<Response>>& futs) {
 
 int main() {
   banner("E14 bench_serve",
-         "online serving: adaptive batching over the batch-dynamic tree",
-         "read-heavy mixes batch near the tradeoff target; p99 stays within "
-         "the per-mix SLO; throughput tracks batch size");
+         "online serving: batching over the batch-dynamic tree",
+         "every admitted request resolves; throughput tracks batch size");
 
   const auto env_on = [](const char* name) {
     const char* e = std::getenv(name);
@@ -92,7 +91,6 @@ int main() {
   const std::size_t n = smoke ? 4096 : 32768;
   const std::size_t requests = smoke ? 4000 : 30000;
   const std::size_t P = 64;
-  const double slo_p99_us = 50'000.0;  // generous: regression tripwire only
 
   BenchReport rep("bench_serve");
   {
@@ -108,8 +106,8 @@ int main() {
            "kreq/s", "p50 us", "p95 us", "p99 us", "p999 us"});
 
   const Leg legs[] = {
-      {MixKind::kReadHeavy, 0.0, Policy::kTradeoff},
-      {MixKind::kReadHeavy, 0.99, Policy::kTradeoff},
+      {MixKind::kReadHeavy, 0.0, Policy::kFixedSize},
+      {MixKind::kReadHeavy, 0.99, Policy::kFixedSize},
       {MixKind::kUpdateHeavy, 0.0, Policy::kFixedSize},
       {MixKind::kScanHeavy, 0.0, Policy::kDeadline},
   };
@@ -167,7 +165,6 @@ int main() {
         .set("batches", st.batches)
         .set("mean_batch", mean_batch)
         .set("epochs", st.epochs)
-        .set("target_batch", static_cast<std::uint64_t>(sched.target_batch_size()))
         .set("throughput_rps", rps)
         .set("p50_us", p50)
         .set("p95_us", p95)
@@ -175,9 +172,7 @@ int main() {
         .set("p999_us", p999)
         .set("max_us", double(h.max()) / 1000.0)
         .set("comm_per_op",
-             st.completed ? double(d.communication) / double(st.completed) : 0.0)
-        .set("slo_p99_us", slo_p99_us)
-        .set("slo_ok", p99 <= slo_p99_us);
+             st.completed ? double(d.communication) / double(st.completed) : 0.0);
     rep.add_row(row);
   }
 
@@ -444,9 +439,7 @@ int main() {
           .set("p50_us", double(h.percentile(50)) / 1000.0)
           .set("p95_us", double(h.percentile(95)) / 1000.0)
           .set("p99_us", double(h.percentile(99)) / 1000.0)
-          .set("p999_us", double(h.percentile(99.9)) / 1000.0)
-          .set("slo_p99_us", slo_p99_us)
-          .set("slo_ok", double(h.percentile(99)) / 1000.0 <= slo_p99_us);
+          .set("p999_us", double(h.percentile(99.9)) / 1000.0);
       rep.add_row(row);
       if (st.completed + st.rejected != st.submitted) {
         std::printf("LOST REQUESTS (%s)\n", name.c_str());

@@ -575,9 +575,9 @@ void PimKdTree::materialize_component(NodeId comp_root) {
   words += materialize_pair_caches(comp_root);
 }
 
-PimKdTree::CacheFlags PimKdTree::cache_flags(int group,
-                                             CachingMode mode) const {
+PimKdTree::CacheFlags PimKdTree::cache_flags(int group) const {
   const bool cached = cfg_.cached_groups < 0 || group < cfg_.cached_groups;
+  const CachingMode mode = cfg_.caching;
   CacheFlags f;
   f.topdown = cached && (mode == CachingMode::kTopDown ||
                          mode == CachingMode::kDual);

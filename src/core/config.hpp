@@ -11,9 +11,7 @@ namespace pimkd::core {
 
 // Which intra-group replication strategy is active (Figure 2). The paper's
 // design is kDual; the others exist to regenerate Figure 2's comparison.
-// The mode set at construction is not final: PimKdTree::set_caching_mode()
-// retrofits a live tree to a different mode (core/replication.hpp drives
-// this adaptively from the observed read/write mix).
+// The mode is fixed when the tree is built.
 enum class CachingMode {
   kNone,      // masters only (Fig. 2a) — every tree edge is an off-chip hop
   kTopDown,   // Fig. 2c — each master also stores its in-group descendants

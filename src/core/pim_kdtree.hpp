@@ -15,10 +15,9 @@
 // against the Table 1 bounds.
 //
 // Thread safety: the tree is externally synchronised. A batch entry point
-// may fan its work out over the internal thread pool, but reads, writes,
-// controller steps and checkpoints of one tree must come from one thread at
-// a time (the serve layer runs them all on the thread that pumps its
-// scheduler).
+// may fan its work out over the internal thread pool, but reads, writes and
+// checkpoints of one tree must come from one thread at a time (the serve
+// layer runs them all on the thread that pumps its scheduler).
 #pragma once
 
 #include <atomic>
@@ -67,9 +66,9 @@ class PimKdTree {
   bool is_live(PointId id) const { return id < alive_.size() && alive_[id]; }
   // Monotone version of the query-visible state: bumped by every batch that
   // changes what reads can observe (insert, erase, set_priorities,
-  // finish_delayed_components, set_caching_mode). Durability keys on it: WAL
-  // frames carry the post-apply version, replay skips frames the tree has
-  // already reached, and the checkpoint cadence counts it.
+  // finish_delayed_components). Durability keys on it: WAL frames carry the
+  // post-apply version, replay skips frames the tree has already reached,
+  // and the checkpoint cadence counts it.
   std::uint64_t mutation_epoch() const { return mutation_epoch_; }
   // Total PointIds ever assigned (live + dead) == the id the next insert
   // will hand out (the WAL replay base).
@@ -109,21 +108,6 @@ class PimKdTree {
   // thin wrapper over this call.
   std::vector<Response> query(std::span<const Request> reqs);
 
-  // --- Status-based error surface -------------------------------------------
-  // Non-throwing twins of insert/erase/query for callers that prefer
-  // pimkd::Status over the throw-on-invalid-input path (the signatures above
-  // stay the primary API; these are thin shims over them). Mapping:
-  // std::invalid_argument -> kInvalidArgument, PimError -> its own status,
-  // any other exception -> kUnavailable. The serve layer keeps using the
-  // throwing entry points: it validates at submit() and converts in-dispatch
-  // exceptions to per-request Response::error itself (serve/scheduler.cpp).
-  Status try_insert(std::span<const Point> pts, std::vector<PointId>& ids_out);
-  Status try_erase(std::span<const PointId> ids);
-  // Runs query(); additionally folds per-request failures into the returned
-  // Status (the first failing request's message, kInvalidArgument). All
-  // responses are produced either way.
-  Status try_query(std::span<const Request> reqs, std::vector<Response>& out);
-
   // --- Priority search (DPC §6.1) --------------------------------------------
   // Attaches a priority to every live point and rebuilds the per-node
   // (max-priority) aggregates bottom-up; must be called before
@@ -140,27 +124,6 @@ class PimKdTree {
   std::size_t unfinished_components() const { return unfinished_.size(); }
   // Returns the words of communication the finished pair caches shipped.
   std::uint64_t finish_delayed_components();
-
-  // --- Adaptive replication (core/replication.hpp) ---------------------------
-  struct ReplicationReport {
-    CachingMode from{};
-    CachingMode to{};
-    std::uint64_t copies_added = 0;
-    std::uint64_t copies_removed = 0;
-    std::uint64_t words = 0;  // re-replication communication charged
-  };
-  // Switches the intra-group replication strategy (Figure 2) *online*: every
-  // finished, non-Group-0-replicated component has its pair caches
-  // incrementally retrofitted — copies a direction no longer active held are
-  // dropped, copies the new direction requires are shipped (charging comm,
-  // work and storage to the ledger inside a "replication" trace span). After
-  // the call the distributed state is exactly what a fresh build under
-  // `mode` would produce (check_invariants() holds), and the query-visible
-  // version (mutation_epoch) is bumped so epoch-versioned serve reads never
-  // straddle a switch. A same-mode call is a free no-op. Not thread-safe
-  // against concurrent queries — call it between batches (the serve
-  // scheduler switches only at epoch boundaries).
-  ReplicationReport set_caching_mode(CachingMode mode);
 
   // --- Fault handling & recovery (ISSUE: fault-injection subsystem) ----------
   // The underlying simulated system (fault surface: crash/revive, health(),
@@ -235,7 +198,6 @@ class PimKdTree {
     std::uint64_t words_counters = 0;
     std::uint64_t words_route = 0;
     std::uint64_t words_payload = 0;
-    std::uint64_t words_replication = 0;  // online caching-mode switches
   };
   const OpStats& op_stats() const { return op_stats_; }
   void reset_op_stats() { op_stats_ = OpStats{}; }
@@ -307,9 +269,7 @@ class PimKdTree {
     bool topdown = false;
     bool bottomup = false;
   };
-  CacheFlags cache_flags(int group) const { return cache_flags(group, cfg_.caching); }
-  // Same rule under a hypothetical mode (set_caching_mode diffs old vs new).
-  CacheFlags cache_flags(int group, CachingMode mode) const;
+  CacheFlags cache_flags(int group) const;
   // Incremental component maintenance: v joins / leaves a component as a
   // member without same-group descendants. Only the pair copies incident to
   // v move; the rest of the component is untouched. Far cheaper than

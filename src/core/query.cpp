@@ -1,5 +1,5 @@
 // PimKdTree::query — the canonical grouping/dispatch path for heterogeneous
-// read batches (core/query.hpp) — plus the Status-returning try_* shims.
+// read batches (core/query.hpp).
 //
 // The grouping here used to live in serve::BatchScheduler::run_reads; it was
 // promoted so every front-end (the scheduler, benches, embedders) batches
@@ -10,7 +10,6 @@
 // byte-identical.
 #include <algorithm>
 #include <exception>
-#include <stdexcept>
 
 #include "core/pim_kdtree.hpp"
 
@@ -83,54 +82,6 @@ std::vector<Response> PimKdTree::query(std::span<const Request> reqs) {
     }
   }
   return resp;
-}
-
-namespace {
-// Shared exception -> Status mapping for the try_* surface (pim_kdtree.hpp
-// documents it as part of the API contract).
-Status status_from_current_exception() {
-  try {
-    throw;
-  } catch (const PimError& ex) {
-    return ex.status();
-  } catch (const std::invalid_argument& ex) {
-    return Status::Error(StatusCode::kInvalidArgument, ex.what());
-  } catch (const std::exception& ex) {
-    return Status::Error(StatusCode::kUnavailable, ex.what());
-  }
-}
-}  // namespace
-
-Status PimKdTree::try_insert(std::span<const Point> pts,
-                             std::vector<PointId>& ids_out) {
-  try {
-    ids_out = insert(pts);
-    return Status::Ok();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-Status PimKdTree::try_erase(std::span<const PointId> ids) {
-  try {
-    erase(ids);
-    return Status::Ok();
-  } catch (...) {
-    return status_from_current_exception();
-  }
-}
-
-Status PimKdTree::try_query(std::span<const Request> reqs,
-                            std::vector<Response>& out) {
-  try {
-    out = query(reqs);
-  } catch (...) {
-    return status_from_current_exception();
-  }
-  for (const Response& r : out)
-    if (!r.ok())
-      return Status::Error(StatusCode::kInvalidArgument, r.error);
-  return Status::Ok();
 }
 
 }  // namespace pimkd::core

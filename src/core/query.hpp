@@ -1,11 +1,11 @@
 // Shared request/response vocabulary for batched operations.
 //
 // Promoted out of src/serve/request.hpp so that the serving layer, the
-// adaptive-replication bench harness, and direct embedders all speak one
-// request language. A core::Request is a *payload only* — kind plus the
-// operand fields the kind uses. The serving layer wraps it with delivery
-// bookkeeping (a std::promise and submit tick, see serve/request.hpp); core
-// callers hand spans of them straight to PimKdTree::query().
+// benches, and direct embedders all speak one request language. A
+// core::Request is a *payload only* — kind plus the operand fields the kind
+// uses. The serving layer wraps it with delivery bookkeeping (a std::promise
+// and submit tick, see serve/request.hpp); core callers hand spans of them
+// straight to PimKdTree::query().
 //
 // PimKdTree::query() is the single canonical grouping/dispatch path for read
 // kinds (kKnn / kRange / kRadius / kRadiusCount): requests are grouped by

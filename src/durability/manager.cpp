@@ -194,21 +194,10 @@ Status Manager::log_batch(std::uint64_t epoch_after,
                           std::vector<PointId> erases) {
   std::lock_guard<std::mutex> lk(mu_);
   WalFrame f;
-  f.kind = WalFrame::Kind::kBatch;
   f.epoch = epoch_after;
   f.base_point_id = base_point_id;
   f.inserts = std::move(inserts);
   f.erases = std::move(erases);
-  return log_frame_locked(std::move(f));
-}
-
-Status Manager::log_mode_switch(std::uint64_t epoch_after,
-                                core::CachingMode mode) {
-  std::lock_guard<std::mutex> lk(mu_);
-  WalFrame f;
-  f.kind = WalFrame::Kind::kModeSwitch;
-  f.epoch = epoch_after;
-  f.mode = static_cast<std::uint8_t>(mode);
   return log_frame_locked(std::move(f));
 }
 
@@ -263,24 +252,17 @@ Status Manager::replay_frames(core::PimKdTree& tree,
     // replay) and must be skipped, not re-applied.
     if (f.epoch <= tree.mutation_epoch()) continue;
     try {
-      if (f.kind == WalFrame::Kind::kModeSwitch) {
-        if (f.mode > static_cast<std::uint8_t>(core::CachingMode::kDual))
-          return data_loss("replay: bad caching mode in frame " +
-                           std::to_string(f.seq));
-        (void)tree.set_caching_mode(static_cast<core::CachingMode>(f.mode));
-      } else {
-        if (!f.inserts.empty()) {
-          if (f.base_point_id != tree.next_point_id())
-            return Status::Error(
-                StatusCode::kCorruptState,
-                "replay: frame " + std::to_string(f.seq) +
-                    " expects insert base " +
-                    std::to_string(f.base_point_id) + " but the tree is at " +
-                    std::to_string(tree.next_point_id()));
-          (void)tree.insert(f.inserts);
-        }
-        if (!f.erases.empty()) tree.erase(f.erases);
+      if (!f.inserts.empty()) {
+        if (f.base_point_id != tree.next_point_id())
+          return Status::Error(
+              StatusCode::kCorruptState,
+              "replay: frame " + std::to_string(f.seq) +
+                  " expects insert base " + std::to_string(f.base_point_id) +
+                  " but the tree is at " +
+                  std::to_string(tree.next_point_id()));
+        (void)tree.insert(f.inserts);
       }
+      if (!f.erases.empty()) tree.erase(f.erases);
     } catch (const std::exception& ex) {
       return Status::Error(StatusCode::kCorruptState,
                            "replay: frame " + std::to_string(f.seq) +

@@ -114,7 +114,6 @@ class Manager {
   // caller must stop acking writes.
   Status log_batch(std::uint64_t epoch_after, std::uint64_t base_point_id,
                    std::vector<Point> inserts, std::vector<PointId> erases);
-  Status log_mode_switch(std::uint64_t epoch_after, core::CachingMode mode);
 
   // Generation rotation: sync the old WAL, save a checkpoint, open a new
   // WAL, move the MANIFEST, drop generation g-2's files.

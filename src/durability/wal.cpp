@@ -16,6 +16,10 @@ constexpr char kMagic[8] = {'P', 'K', 'D', 'W', 'A', 'L', '1', '\0'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kTagHeader = 0x10;
 constexpr std::uint32_t kTagFrame = 0x11;
+// Frame kind byte: every frame written is an applied batch. Kind 1 (an
+// online caching-mode switch) is no longer produced and is refused on read.
+constexpr std::uint8_t kKindBatch = 0;
+constexpr std::uint8_t kKindModeSwitch = 1;
 
 Status data_loss(const std::string& what) {
   return Status::Error(StatusCode::kDataLoss, "wal: " + what);
@@ -29,47 +33,39 @@ Status io_error(const std::string& what, const std::string& path) {
 
 std::vector<std::uint8_t> encode_frame(const WalFrame& f, int dim) {
   ByteWriter b;
-  b.u8(static_cast<std::uint8_t>(f.kind));
+  b.u8(kKindBatch);
   b.u64(f.seq);
   b.u64(f.epoch);
-  if (f.kind == WalFrame::Kind::kBatch) {
-    b.u64(f.base_point_id);
-    b.u32(static_cast<std::uint32_t>(f.inserts.size()));
-    b.u32(static_cast<std::uint32_t>(f.erases.size()));
-    for (const Point& p : f.inserts)
-      for (int d = 0; d < dim; ++d) b.f64(p[d]);
-    for (const PointId id : f.erases) b.u32(id);
-  } else {
-    b.u8(f.mode);
-  }
+  b.u64(f.base_point_id);
+  b.u32(static_cast<std::uint32_t>(f.inserts.size()));
+  b.u32(static_cast<std::uint32_t>(f.erases.size()));
+  for (const Point& p : f.inserts)
+    for (int d = 0; d < dim; ++d) b.f64(p[d]);
+  for (const PointId id : f.erases) b.u32(id);
   std::vector<std::uint8_t> out;
   append_record(out, kTagFrame, b.bytes());
   return out;
 }
 
-bool decode_frame(const Record& rec, int dim, WalFrame& f) {
+// Decodes one frame body; `kind` reports the kind byte when it was readable
+// (read_wal names a retired mode-switch frame by it).
+bool decode_frame(const Record& rec, int dim, WalFrame& f,
+                  std::uint8_t& kind) {
   ByteReader r(rec.body, rec.len);
-  std::uint8_t kind = 0;
   if (!r.u8(kind) || !r.u64(f.seq) || !r.u64(f.epoch)) return false;
-  if (kind > static_cast<std::uint8_t>(WalFrame::Kind::kModeSwitch))
+  if (kind != kKindBatch) return false;
+  std::uint32_t n_ins = 0, n_del = 0;
+  if (!r.u64(f.base_point_id) || !r.u32(n_ins) || !r.u32(n_del))
     return false;
-  f.kind = static_cast<WalFrame::Kind>(kind);
-  if (f.kind == WalFrame::Kind::kBatch) {
-    std::uint32_t n_ins = 0, n_del = 0;
-    if (!r.u64(f.base_point_id) || !r.u32(n_ins) || !r.u32(n_del))
-      return false;
-    f.inserts.resize(n_ins);
-    for (Point& p : f.inserts) {
-      p = Point{};
-      for (int d = 0; d < dim; ++d)
-        if (!r.f64(p[d])) return false;
-    }
-    f.erases.resize(n_del);
-    for (PointId& id : f.erases)
-      if (!r.u32(id)) return false;
-  } else {
-    if (!r.u8(f.mode)) return false;
+  f.inserts.resize(n_ins);
+  for (Point& p : f.inserts) {
+    p = Point{};
+    for (int d = 0; d < dim; ++d)
+      if (!r.f64(p[d])) return false;
   }
+  f.erases.resize(n_del);
+  for (PointId& id : f.erases)
+    if (!r.u32(id)) return false;
   return r.remaining() == 0;
 }
 
@@ -220,10 +216,20 @@ Status read_wal(const std::string& path, WalReadResult& out) {
     if (rec.tag != kTagFrame)
       return data_loss("unexpected record tag in '" + path + "'");
     WalFrame f;
-    if (!decode_frame(rec, out.dim, f)) {
-      // The CRC passed but the body does not parse: that is not a torn
-      // append (a partial write cannot carry a valid CRC) — it is a format
-      // bug or deliberate tampering, and silently dropping it would hide it.
+    std::uint8_t kind = 0xff;
+    if (!decode_frame(rec, out.dim, f, kind)) {
+      // The CRC passed, so this is not a torn append (a partial write cannot
+      // carry a valid CRC) and must not be truncated away. A mode-switch
+      // frame comes from a build that could change the caching mode online;
+      // replaying the batches around it under the wrong mode would recover
+      // a different tree, so the log is refused as a whole.
+      if (kind == kKindModeSwitch)
+        return data_loss("caching-mode switch frame (seq " +
+                         std::to_string(f.seq) + ") in '" + path +
+                         "': online caching-mode switches are no longer "
+                         "supported");
+      // Otherwise it is a format bug or deliberate tampering, and silently
+      // dropping it would hide it.
       return data_loss("undecodable frame body in '" + path + "'");
     }
     if (f.seq != expect_seq)

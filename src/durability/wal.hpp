@@ -5,8 +5,6 @@
 // The log therefore records exactly the applied history: a crash between
 // apply and append loses only a batch whose clients were never acked, and a
 // frame that is present was applied in full.
-// Caching-mode switches (the adaptive controller) get their own frames so
-// replay reproduces the replication state too.
 //
 // File format: an 8-byte magic ("PKDWAL1\0") plus a framed header record
 // (version, dim, generation, start seq), then one framed record per frame
@@ -16,16 +14,14 @@
 // whose length or CRC check fails — which read_wal() reports (with the last
 // good offset) instead of surfacing garbage; recovery truncates there.
 //
-// Frame bodies (tag kTagFrame):
-//   kind u8:  0 = batch    seq u64, epoch u64 (tree mutation_epoch AFTER
-//                          applying — the replay-idempotence key), base u64
-//                          (next_point_id before the inserts), n_ins u32,
-//                          n_del u32, then n_ins points (dim f64 each) and
-//                          n_del erased ids (u32 each; only ids that were
-//                          actually erased — failed sub-batches and dead-id
-//                          no-ops are excluded);
-//             1 = mode     seq u64, epoch u64, mode u8 (CachingMode after
-//                          the switch).
+// Frame bodies (tag kTagFrame): kind u8 (always 0, the applied-batch
+// frame), seq u64, epoch u64 (tree mutation_epoch AFTER applying — the
+// replay-idempotence key), base u64 (next_point_id before the inserts),
+// n_ins u32, n_del u32, then n_ins points (dim f64 each) and n_del erased
+// ids (u32 each; only ids that were actually erased — failed sub-batches and
+// dead-id no-ops are excluded). Kind 1 was an online caching-mode switch
+// frame; caching modes are now fixed at construction, so read_wal rejects
+// such a frame by name (kDataLoss) rather than replaying it.
 //
 // Fault injection: WalWriter consults pim::FaultInjector::take_torn before
 // each append. A "torn@N" event cuts the write short at absolute file
@@ -46,23 +42,18 @@
 namespace pimkd::durability {
 
 struct WalFrame {
-  enum class Kind : std::uint8_t { kBatch = 0, kModeSwitch = 1 };
-  Kind kind = Kind::kBatch;
   std::uint64_t seq = 0;    // contiguous, 1-based across generations
   std::uint64_t epoch = 0;  // tree mutation_epoch after applying this frame
-  // kBatch:
   std::uint64_t base_point_id = 0;  // next_point_id before the inserts
   std::vector<Point> inserts;       // applied inserts, id-assignment order
   std::vector<PointId> erases;      // ids actually erased, request order
-  // kModeSwitch:
-  std::uint8_t mode = 0;  // core::CachingMode after the switch
 
   // Point carries no operator== (comparisons are dim-scoped); frames store
   // zero-padded points, so whole-array equality is exact here.
   bool operator==(const WalFrame& o) const {
-    if (kind != o.kind || seq != o.seq || epoch != o.epoch ||
+    if (seq != o.seq || epoch != o.epoch ||
         base_point_id != o.base_point_id || erases != o.erases ||
-        mode != o.mode || inserts.size() != o.inserts.size())
+        inserts.size() != o.inserts.size())
       return false;
     for (std::size_t i = 0; i < inserts.size(); ++i)
       if (inserts[i].x != o.inserts[i].x) return false;

@@ -68,11 +68,10 @@ struct Snapshot {
   std::string to_string() const;
 };
 
-// Per-module load sample: the public vocabulary the epoch-boundary
-// replication controller (DESIGN.md §9.4) and the benches speak, instead of
-// each reading raw ledger counters. Values are lifetime totals —
-// sums of commutative adds, so thread-count invariant; controllers that want
-// per-epoch activity keep the previous report and call delta_since().
+// Per-module load sample: the public vocabulary the benches speak, instead of
+// each reading raw ledger counters. Values are lifetime totals — sums of
+// commutative adds, so thread-count invariant; a caller that wants activity
+// over an interval keeps the previous report and calls delta_since().
 struct LoadReport {
   std::vector<std::uint64_t> work;  // per-module lifetime PIM work
   std::vector<std::uint64_t> comm;  // per-module lifetime off-chip words
@@ -135,8 +134,8 @@ class Metrics {
     return summarize_load(lifetime_module_comm());
   }
 
-  // One-call load sample for epoch-boundary controllers (the LoadReport
-  // vocabulary above). Folds in-flight shards like the lifetime accessors.
+  // One-call load sample (the LoadReport vocabulary above). Folds in-flight
+  // shards like the lifetime accessors.
   LoadReport load_report() const {
     return LoadReport{lifetime_module_work(), lifetime_module_comm()};
   }

@@ -1,27 +1,17 @@
 #include "router/frontend.hpp"
 
 #include <exception>
-#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
 namespace pimkd::router {
-
-void FrontendConfig::validate() const {
-  if (policy == serve::Policy::kTradeoff)
-    throw std::invalid_argument(
-        "FrontendConfig.policy: kTradeoff targets one tree's size; use "
-        "kFixedSize or kDeadline");
-}
 
 Frontend::Frontend(Router& router, FrontendConfig cfg)
     : router_(router),
       cfg_(std::move(cfg)),
       adm_("router", router_.config().tree.dim, cfg_.policy, cfg_.batch_size,
            cfg_.deadline_ticks, cfg_.max_batch),
-      epoch_(router_.epoch()) {
-  cfg_.validate();
-}
+      epoch_(router_.epoch()) {}
 
 Frontend::~Frontend() { stop(); }
 
@@ -45,8 +35,7 @@ std::size_t Frontend::pump_locked(std::uint64_t now, bool flush_all) {
   if (!s.ok()) throw PimError(s);
   std::size_t total = 0;
   char reason = '?';
-  while (const std::size_t take =
-             adm_.due(now, flush_all, adm_.size_target(), reason))
+  while (const std::size_t take = adm_.due(now, flush_all, reason))
     total += execute_epoch(adm_.take(take), now);
   return total;
 }

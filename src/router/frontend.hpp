@@ -44,8 +44,7 @@
 namespace pimkd::router {
 
 struct FrontendConfig {
-  // Router-level admission policy: kFixedSize or kDeadline. kTradeoff needs
-  // a single tree's size and is rejected.
+  // Router-level admission policy (serve::Policy).
   serve::Policy policy = serve::Policy::kFixedSize;
   std::size_t batch_size = 256;
   std::uint64_t deadline_ticks = 0;  // oldest-waiter deadline (0 = off for
@@ -57,10 +56,6 @@ struct FrontendConfig {
   // (stats().clock_regressions). Unset, completion equals the pump tick
   // (virtual-time mode, fully deterministic).
   std::function<std::uint64_t()> clock;
-
-  // Named-field std::invalid_argument (DESIGN.md §9.5). Zero sizes are not
-  // errors: they clamp to 1, as in the scheduler.
-  void validate() const;
 };
 
 struct FrontendStats {

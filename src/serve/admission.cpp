@@ -107,12 +107,14 @@ Status Admission::advance(std::uint64_t now) {
 }
 
 std::size_t Admission::due(std::uint64_t now, bool flush_all,
-                           std::size_t target, char& reason) const {
+                           char& reason) const {
   if (pending_.empty()) return 0;
   if (flush_all) {
     reason = 'f';
     return std::min(pending_.size(), max_batch_);
   }
+  const std::size_t target =
+      policy_ == Policy::kFixedSize ? batch_size_ : max_batch_;
   if (pending_.size() >= target) {
     reason = 's';
     return target;

@@ -10,18 +10,18 @@
 //   * consumer side (one thread at a time, serialized by the owner's pump
 //     mutex): refuse a backwards consumer tick (counted in ticks_rejected),
 //     drain the queue into the pending deque, and decide when a batch is due
-//     — at the owner's size target, on the oldest waiter's deadline, or on a
-//     flush.
+//     — at the policy's size target, on the oldest waiter's deadline, or on
+//     a flush.
 //
 // "Oldest waiter" is the minimum submit tick over everything pending, not the
 // queue-order front: multi-producer stamping can interleave out of tick
 // order, and a batch must dispatch on the tick the true oldest waiter reaches
 // the deadline. A monotone deque keeps that minimum in O(1) amortized.
 //
-// Size targets come from the owner (size_target() covers kFixedSize and
-// kDeadline; the scheduler computes the §5 kTradeoff target itself), so
-// Admission never reads a tree. Zero-valued batch_size / max_batch clamp to 1
-// and batch_size clamps to max_batch, so a legacy zero config still serves.
+// Admission never reads a tree: the size target is batch_size under
+// kFixedSize and max_batch under kDeadline. Zero-valued batch_size /
+// max_batch clamp to 1 and batch_size clamps to max_batch, so a legacy zero
+// config still serves.
 #pragma once
 
 #include <array>
@@ -41,14 +41,12 @@ namespace pimkd::serve {
 enum class Policy : std::uint8_t {
   kFixedSize,  // dispatch exactly batch_size requests when available
   kDeadline,   // dispatch all pending when the oldest has waited deadline_ticks
-  kTradeoff,   // dispatch at the §5-derived target size (deadline fallback)
 };
 
 inline const char* policy_name(Policy p) {
   switch (p) {
     case Policy::kFixedSize: return "fixed";
     case Policy::kDeadline: return "deadline";
-    case Policy::kTradeoff: return "tradeoff";
   }
   return "?";
 }
@@ -71,13 +69,6 @@ class Admission {
   Admission(const Admission&) = delete;
   Admission& operator=(const Admission&) = delete;
 
-  std::size_t batch_size() const { return batch_size_; }  // clamped
-  std::size_t max_batch() const { return max_batch_; }    // clamped
-  // The size trigger of kFixedSize (batch_size) and kDeadline (max_batch).
-  std::size_t size_target() const {
-    return policy_ == Policy::kFixedSize ? batch_size_ : max_batch_;
-  }
-
   // --- Producer side (any thread) ---------------------------------------------
   // The returned future is resolved exactly once.
   std::future<Response> submit(Request r, std::uint64_t now_tick);
@@ -88,10 +79,9 @@ class Admission {
   // Refuses a tick behind the last one (kFailedPrecondition, counted in
   // ticks_rejected()); otherwise records it and moves the queue into pending.
   Status advance(std::uint64_t now);
-  // Size of the batch due at `now` under `target` (0 = none); sets `reason`
-  // to 's'ize, 'd'eadline or 'f'lush. Never more than max_batch.
-  std::size_t due(std::uint64_t now, bool flush_all, std::size_t target,
-                  char& reason) const;
+  // Size of the batch due at `now` (0 = none); sets `reason` to 's'ize,
+  // 'd'eadline or 'f'lush. Never more than max_batch.
+  std::size_t due(std::uint64_t now, bool flush_all, char& reason) const;
   // Removes the first n pending requests, in admission order.
   std::vector<Request> take(std::size_t n);
   std::uint64_t last_tick() const { return last_tick_; }

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <stdexcept>
+#include <exception>
 #include <unordered_set>
-
-#include "util/stats.hpp"
 
 namespace pimkd::serve {
 
@@ -25,46 +22,18 @@ std::uint64_t steady_ns() {
 std::string BatchLog::to_string() const {
   char buf[128];
   std::snprintf(buf, sizeof buf,
-                "e=%llu t=%llu r=%c i=%u d=%u k=%u g=%u a=%u c=%u m=%u",
+                "e=%llu t=%llu r=%c i=%u d=%u k=%u g=%u a=%u c=%u",
                 static_cast<unsigned long long>(epoch),
                 static_cast<unsigned long long>(tick), reason, inserts, erases,
-                knns, ranges, radii, radius_counts, mode_switch ? 1u : 0u);
+                knns, ranges, radii, radius_counts);
   return std::string(buf);
-}
-
-void SchedulerConfig::validate() const {
-  if (batch_size == 0)
-    throw std::invalid_argument("SchedulerConfig.batch_size: must be >= 1");
-  if (max_batch == 0)
-    throw std::invalid_argument("SchedulerConfig.max_batch: must be >= 1");
-  if (controllers.replication)
-    core::validate_replication_config(controllers.replication_cfg);
 }
 
 BatchScheduler::BatchScheduler(core::PimKdTree& tree, SchedulerConfig cfg)
     : tree_(tree),
       cfg_(std::move(cfg)),
       adm_("serve", tree_.config().dim, cfg_.policy, cfg_.batch_size,
-           cfg_.deadline_ticks, cfg_.max_batch) {
-  cfg_.batch_size = adm_.batch_size();
-  cfg_.max_batch = adm_.max_batch();
-  cfg_.validate();
-  if (cfg_.controllers.replication)
-    controller_ = std::make_unique<core::AdaptiveReplicationController>(
-        tree_, cfg_.controllers.replication_cfg);
-}
-
-Status BatchScheduler::try_create(core::PimKdTree& tree, SchedulerConfig cfg,
-                                  std::unique_ptr<BatchScheduler>& out) {
-  try {
-    out = std::make_unique<BatchScheduler>(tree, std::move(cfg));
-  } catch (const std::invalid_argument& ex) {
-    return Status::Error(StatusCode::kInvalidArgument, ex.what());
-  } catch (const PimError& ex) {
-    return ex.status();
-  }
-  return Status::Ok();
-}
+           cfg_.deadline_ticks, cfg_.max_batch) {}
 
 BatchScheduler::~BatchScheduler() {
   try {
@@ -97,11 +66,6 @@ std::size_t BatchScheduler::flush(std::uint64_t now_tick) {
   return n;
 }
 
-Status BatchScheduler::try_flush(std::uint64_t now_tick,
-                                 std::size_t* completed) {
-  return pump_guarded(now_tick, /*flush_all=*/true, completed);
-}
-
 Status BatchScheduler::pump_guarded(std::uint64_t now, bool flush_all,
                                     std::size_t* out) {
   if (out) *out = 0;
@@ -117,40 +81,11 @@ std::size_t BatchScheduler::pump_locked(std::uint64_t now, bool flush_all) {
   std::size_t total = 0;
   for (;;) {
     char reason = '?';
-    const std::size_t take = adm_.due(now, flush_all, target_locked(), reason);
+    const std::size_t take = adm_.due(now, flush_all, reason);
     if (take == 0) break;
     total += dispatch(take, now, reason);
   }
   return total;
-}
-
-std::size_t BatchScheduler::tradeoff_target(const core::PimKdConfig& cfg,
-                                            std::size_t P, std::size_t n,
-                                            std::size_t lo, std::size_t hi) {
-  const int logstar = log_star2(static_cast<double>(std::max<std::size_t>(P, 2)));
-  const int G = cfg.cached_groups < 0 ? logstar
-                                      : std::min(cfg.cached_groups, logstar);
-  // Per-query search communication floor of the G-group variant (Thm 5.1):
-  // hops ~ G + log^(G) P. Batches below n / 2^hops still pay the
-  // log2(n/S) > hops LeafSearch alternative, so grow to S*; batches above it
-  // buy no further per-query communication, only latency.
-  const double hops = static_cast<double>(G) +
-                      ilog2(static_cast<double>(std::max<std::size_t>(P, 2)), G);
-  const double nn = static_cast<double>(std::max<std::size_t>(n, 1));
-  const double star = nn / std::pow(2.0, hops);
-  const auto target = static_cast<std::size_t>(std::max(1.0, star));
-  return std::clamp(target, std::min(lo, hi), hi);
-}
-
-std::size_t BatchScheduler::target_batch_size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return target_locked();
-}
-
-std::size_t BatchScheduler::target_locked() const {
-  if (cfg_.policy != Policy::kTradeoff) return adm_.size_target();
-  return tradeoff_target(tree_.config(), tree_.P(), tree_.size(),
-                         cfg_.batch_size, cfg_.max_batch);
 }
 
 std::size_t BatchScheduler::dispatch(std::size_t take, std::uint64_t now,
@@ -225,29 +160,11 @@ void BatchScheduler::run_reads(EpochTask& t) {
 
 void BatchScheduler::apply_task(EpochTask& t) {
   run_updates(t);
-  bool mode_switched = false;
-  // Epoch boundary: updates are applied, the next batch's reads have not
-  // started — the only point where re-replication cannot invalidate an
-  // in-flight snapshot. Feeding batch op counts (not wall time) keeps the
-  // controller a pure function of the request stream, so virtual-tick runs
-  // stay deterministic at any PIMKD_THREADS.
-  if (controller_ &&
-      controller_->on_epoch(t.reads.size(), t.updates.size()).switched) {
-    // The tree's query-visible version moved (set_caching_mode bumped
-    // mutation_epoch); advance the serve epoch so the invariant "one serve
-    // epoch = one tree version" holds for the next batch's reads.
-    std::lock_guard<std::mutex> sl(state_mu_);
-    ++epoch_;
-    ++stats_.epochs;
-    ++stats_.mode_switches;
-    t.log.mode_switch = true;
-    mode_switched = true;
-  }
   if (cfg_.durability && !wal_failed_.load(std::memory_order_acquire))
-    log_durable(t, mode_switched);
+    log_durable(t);
 }
 
-void BatchScheduler::log_durable(EpochTask& t, bool mode_switched) {
+void BatchScheduler::log_durable(EpochTask& t) {
   durability::Manager& d = *cfg_.durability;
   // Append + sync BEFORE resolve() sets the update futures (which runs
   // strictly after apply_task returns): an acked write is on disk. A crash
@@ -257,8 +174,6 @@ void BatchScheduler::log_durable(EpochTask& t, bool mode_switched) {
   if (t.wal_log)
     s = d.log_batch(t.wal_epoch, t.wal_base, std::move(t.wal_inserts),
                     std::move(t.wal_erases));
-  if (s.ok() && mode_switched)
-    s = d.log_mode_switch(tree_.mutation_epoch(), tree_.config().caching);
   bool took_checkpoint = false;
   if (s.ok()) s = d.maybe_checkpoint(tree_, &took_checkpoint);
   if (!s.ok()) {
@@ -273,7 +188,6 @@ void BatchScheduler::log_durable(EpochTask& t, bool mode_switched) {
   }
   std::lock_guard<std::mutex> sl(state_mu_);
   if (t.wal_log) ++stats_.wal_frames;
-  if (mode_switched) ++stats_.wal_frames;
   if (took_checkpoint) ++stats_.checkpoints;
 }
 

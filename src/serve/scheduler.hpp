@@ -1,4 +1,4 @@
-// Adaptive batch scheduler: the online front-end of the PIM-kd-tree.
+// Batch scheduler: the online front-end of the PIM-kd-tree.
 //
 // The paper's interface is batch-dynamic — its Table-1 bounds are stated per
 // batch — but a production index serves a stream of single operations, so
@@ -8,9 +8,7 @@
 //     client threads through a lock-free MPSC queue, one future per request
 //     (serve::Admission, shared with router::Frontend);
 //   * drains the queue and forms batches under a pluggable policy —
-//     fixed-size, oldest-waiter deadline, or the §5-aware "tradeoff" policy
-//     that targets the batch size at which the Theorem-5.1 communication/
-//     space trade-off predicts per-query communication stops improving;
+//     fixed-size or oldest-waiter deadline;
 //   * executes each admitted batch against the tree with *epoch-versioned
 //     read semantics*: all reads admitted in epoch e run first, against the
 //     tree exactly as of epoch e (the live host mirror doubles as the
@@ -28,12 +26,12 @@
 //
 // Threading contract: submit() from any thread; pump()/flush() from one
 // consumer at a time (a mutex also lets the optional background thread and
-// manual pumps coexist). Every tree read, write, controller step and
-// checkpoint runs on the pumping thread, so the scheduler must be the tree's
-// only user while it serves (PimKdTree is externally synchronised). Consumer
-// ticks must be non-decreasing: a backwards tick is rejected with
-// kFailedPrecondition (try_pump/try_flush) instead of silently saturating
-// every age computation. submit() must not race with stop()/destruction.
+// manual pumps coexist). Every tree read, write and checkpoint runs on the
+// pumping thread, so the scheduler must be the tree's only user while it
+// serves (PimKdTree is externally synchronised). Consumer ticks must be
+// non-decreasing: a backwards tick is rejected with kFailedPrecondition
+// (try_pump) instead of silently saturating every age computation. submit()
+// must not race with stop()/destruction.
 #pragma once
 
 #include <atomic>
@@ -47,7 +45,6 @@
 #include <vector>
 
 #include "core/pim_kdtree.hpp"
-#include "core/replication.hpp"
 #include "durability/manager.hpp"
 #include "pim/status.hpp"
 #include "serve/admission.hpp"
@@ -56,25 +53,12 @@
 
 namespace pimkd::serve {
 
-// The epoch-boundary controller this scheduler runs after each epoch's
-// updates are applied. It follows the observe -> decide -> apply contract of
-// DESIGN.md §9.4 — decisions are pure functions of the op stream and the
-// thread-invariant ledger, the apply step runs inside its own trace span and
-// bumps the tree's mutation_epoch — so enabling it keeps serve runs
-// byte-deterministic across PIMKD_THREADS.
-struct ControllersConfig {
-  // Adaptive replication: may switch the tree's CachingMode at epoch
-  // boundaries (core/replication.hpp).
-  bool replication = false;
-  core::ReplicationConfig replication_cfg{};
-};
-
 struct SchedulerConfig {
   Policy policy = Policy::kFixedSize;
-  // kFixedSize: the exact batch size. kTradeoff: lower clamp on the target.
+  // kFixedSize: the exact batch size.
   std::size_t batch_size = 256;
   // Oldest-waiter deadline in ticks. Primary trigger for kDeadline; fallback
-  // trigger for the size-based policies when > 0 (0 = no deadline there).
+  // trigger for kFixedSize when > 0 (0 = no deadline there).
   // "Oldest" means the minimum submit tick over everything pending, not the
   // queue-order front: multi-producer stamping can interleave out of tick
   // order, and a batch must dispatch on the tick the oldest waiter *reaches*
@@ -88,26 +72,16 @@ struct SchedulerConfig {
   // reading behind the dispatch tick is clamped (counted in
   // stats().clock_regressions), never subtracted into garbage.
   std::function<std::uint64_t()> clock;
-  // Epoch-boundary controllers (any Policy).
-  ControllersConfig controllers{};
   // Crash consistency (src/durability/, DESIGN.md §10). When set, every
   // applied write batch is appended to the write-ahead log — and synced per
   // the manager's policy — *before* the batch's futures resolve, so an acked
-  // write is a durable write. Caching-mode switches are logged too, and the
-  // manager's checkpoint cadence runs at epoch boundaries. Fail-stop: if an append or sync fails, the batch's
+  // write is a durable write, and the manager's checkpoint cadence runs at
+  // epoch boundaries. Fail-stop: if an append or sync fails, the batch's
   // update futures carry the error and every later write is rejected before
   // touching the tree (stats().wal_failures counts both). Non-owning; the
   // manager must outlive the scheduler and is not shared with another
   // scheduler.
   durability::Manager* durability = nullptr;
-
-  // Throwing entry point ⇔ BatchScheduler::try_create Status twin
-  // (DESIGN.md §9.5): names the offending field, delegates to the enabled
-  // controller's own validator. Note the constructor clamps the legacy
-  // zero-valued size fields (batch_size, max_batch) to 1 *before*
-  // validating, so passing 0 there stays accepted for source compatibility;
-  // calling validate() directly is strict.
-  void validate() const;
 };
 
 // One formed batch: its epoch, dispatch tick, trigger, and op mix.
@@ -115,7 +89,6 @@ struct BatchLog {
   std::uint64_t epoch = 0;
   std::uint64_t tick = 0;
   char reason = '?';  // 's'ize target, 'd'eadline, 'f'lush
-  bool mode_switch = false;  // replication controller switched CachingMode
   std::uint32_t inserts = 0, erases = 0, knns = 0, ranges = 0, radii = 0,
                 radius_counts = 0;
   std::uint32_t size() const {
@@ -131,7 +104,6 @@ struct ServeStats {
   std::uint64_t batches = 0;
   std::uint64_t epochs = 0;  // update boundaries crossed
   std::uint64_t reads = 0, updates = 0;
-  std::uint64_t mode_switches = 0;  // replication-controller mode changes
   std::uint64_t dispatch_size = 0, dispatch_deadline = 0, dispatch_flush = 0;
   std::uint64_t ticks_rejected = 0;     // non-monotonic pump/flush ticks refused
   std::uint64_t clock_regressions = 0;  // completion clock read behind dispatch
@@ -146,11 +118,6 @@ class BatchScheduler {
  public:
   BatchScheduler(core::PimKdTree& tree, SchedulerConfig cfg);
   ~BatchScheduler();  // stop(): drains and resolves everything pending
-
-  // Status twin of the constructor (DESIGN.md §9.5): config validation errors
-  // come back as kInvalidArgument instead of an exception.
-  static Status try_create(core::PimKdTree& tree, SchedulerConfig cfg,
-                           std::unique_ptr<BatchScheduler>& out);
 
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
@@ -173,7 +140,6 @@ class BatchScheduler {
   // pump(), then dispatch all remaining pending requests regardless of policy.
   // On return every admitted request is resolved.
   std::size_t flush(std::uint64_t now_tick);
-  Status try_flush(std::uint64_t now_tick, std::size_t* completed = nullptr);
 
   // Background mode: a thread that pumps on cfg.clock (defaults to a
   // steady_clock nanosecond tick when unset). stop() joins it, closes the
@@ -183,26 +149,8 @@ class BatchScheduler {
 
   // --- Introspection -----------------------------------------------------------
   std::uint64_t epoch() const;
-  // The size trigger currently in force (kTradeoff: recomputed from the
-  // tree's live size). Blocks while a pump is dispatching.
-  std::size_t target_batch_size() const;
   ServeStats stats() const;
   std::vector<BatchLog> batch_log() const;
-  // Controller introspection (nullptr when the controller is not enabled).
-  // The controller runs at epoch boundaries inside a pump; read it between
-  // pumps.
-  const core::AdaptiveReplicationController* replication_controller() const {
-    return controller_.get();
-  }
-
-  // The §5 target: per-query search communication is Θ(G + log^(G) P) words
-  // once batches are large enough that the Table-1 LeafSearch alternative
-  // log(n/S) no longer dominates; solving log2(n/S) = G + log^(G) P gives
-  // S* = n / 2^(G + log^(G) P), the smallest batch that reaches the
-  // trade-off's communication floor. Clamped to [batch_size, max_batch].
-  static std::size_t tradeoff_target(const core::PimKdConfig& cfg,
-                                     std::size_t P, std::size_t n,
-                                     std::size_t lo, std::size_t hi);
 
  private:
   // One dispatched epoch: the batch, its responses, the index split, and the
@@ -222,15 +170,14 @@ class BatchScheduler {
 
   Status pump_guarded(std::uint64_t now, bool flush_all, std::size_t* out);
   std::size_t pump_locked(std::uint64_t now, bool flush_all);
-  std::size_t target_locked() const;  // the size trigger in force
   // Forms, executes and resolves one batch of `take` requests; returns its
   // size.
   std::size_t dispatch(std::size_t take, std::uint64_t now, char reason);
   void form_task(EpochTask& t, std::size_t take, std::uint64_t now,
                  char reason);
   void run_reads(EpochTask& t);
-  void apply_task(EpochTask& t);  // updates + controller + WAL/checkpoint
-  void log_durable(EpochTask& t, bool mode_switched);
+  void apply_task(EpochTask& t);  // updates + WAL/checkpoint
+  void log_durable(EpochTask& t);
   void run_updates(EpochTask& t);
   void resolve(EpochTask& t, std::uint64_t done);
   std::uint64_t completion_tick(std::uint64_t form_tick);
@@ -248,11 +195,9 @@ class BatchScheduler {
   // be recovered, so applying it would silently widen the durability gap).
   std::atomic<bool> wal_failed_{false};
 
-  // Admission's consumer side, the controller and all tree execution,
-  // guarded by mu_.
+  // Admission's consumer side and all tree execution, guarded by mu_.
   mutable std::mutex mu_;
   Admission adm_;
-  std::unique_ptr<core::AdaptiveReplicationController> controller_;
 
   // Execution state the accessors read, guarded by state_mu_ (leaf lock;
   // acquired after mu_) so stats() never waits for a dispatch.

@@ -373,7 +373,6 @@ TEST(Checkpoint, FrontierEquality) {
 std::vector<WalFrame> sample_frames(std::uint64_t start_seq) {
   std::vector<WalFrame> fs;
   WalFrame f1;
-  f1.kind = WalFrame::Kind::kBatch;
   f1.seq = start_seq;
   f1.epoch = 1;
   f1.base_point_id = 100;
@@ -381,16 +380,15 @@ std::vector<WalFrame> sample_frames(std::uint64_t start_seq) {
   f1.erases = {7, 8};
   fs.push_back(f1);
   WalFrame f2;
-  f2.kind = WalFrame::Kind::kModeSwitch;
   f2.seq = start_seq + 1;
   f2.epoch = 2;
-  f2.mode = static_cast<std::uint8_t>(core::CachingMode::kBottomUp);
+  f2.base_point_id = 103;
+  f2.inserts = {pt(0.7, 0.8)};  // insert-only batch
   fs.push_back(f2);
   WalFrame f3;
-  f3.kind = WalFrame::Kind::kBatch;
   f3.seq = start_seq + 2;
   f3.epoch = 3;
-  f3.base_point_id = 103;
+  f3.base_point_id = 104;
   f3.erases = {1, 2, 3};  // erase-only batch
   fs.push_back(f3);
   return fs;
@@ -692,31 +690,6 @@ TEST(Manager, CheckpointCadence) {
   EXPECT_EQ(rec.state_hash, Checkpoint::hash(tree));
 }
 
-TEST(Manager, ModeSwitchFramesReplay) {
-  TempDir dir;
-  auto cfg = small_cfg(8);
-  cfg.caching = core::CachingMode::kNone;
-  core::PimKdTree tree(cfg, gen_uniform({.n = 150, .dim = 2, .seed = 8}));
-  ManagerConfig mc;
-  mc.dir = dir.file("d");
-  std::unique_ptr<Manager> mgr;
-  ASSERT_TRUE(Manager::create(mc, tree, mgr).ok());
-
-  apply_and_log(tree, *mgr, gen_uniform({.n = 6, .dim = 2, .seed = 80}), {});
-  (void)tree.set_caching_mode(core::CachingMode::kDual);
-  ASSERT_TRUE(
-      mgr->log_mode_switch(tree.mutation_epoch(), core::CachingMode::kDual)
-          .ok());
-  apply_and_log(tree, *mgr, gen_uniform({.n = 6, .dim = 2, .seed = 81}), {});
-  ASSERT_TRUE(mgr->sync().ok());
-
-  RecoveryResult rec;
-  ASSERT_TRUE(Manager::recover_from(mc.dir, rec).ok());
-  EXPECT_EQ(rec.tree->config().caching, core::CachingMode::kDual);
-  EXPECT_EQ(rec.state_hash, Checkpoint::hash(tree));
-  EXPECT_TRUE(rec.tree->check_integrity().ok);
-}
-
 TEST(Manager, TornTailRecoversByTruncation) {
   TempDir dir;
   auto cfg = small_cfg(8);
@@ -808,7 +781,6 @@ TEST(Manager, ReplayBaseMismatchIsCorruptState) {
   core::PimKdTree tree(small_cfg(),
                        gen_uniform({.n = 50, .dim = 2, .seed = 30}));
   WalFrame f;
-  f.kind = WalFrame::Kind::kBatch;
   f.seq = 1;
   f.epoch = tree.mutation_epoch() + 1;
   f.base_point_id = 999;  // the tree's next id is 50
@@ -817,6 +789,62 @@ TEST(Manager, ReplayBaseMismatchIsCorruptState) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code, StatusCode::kCorruptState);
   EXPECT_NE(s.message.find("base"), std::string::npos) << s.message;
+}
+
+// A log written by a build that could switch the caching mode online may hold
+// kind-1 (mode-switch) frames. Replaying the batches around one under the
+// wrong mode would recover a different tree, so recovery refuses the log by
+// name, and — the frame carries a valid CRC, so it is no torn tail — leaves
+// the file exactly as it found it.
+TEST(Wal, ModeSwitchFrameIsRejected) {
+  TempDir dir;
+  auto cfg = small_cfg(8);
+  cfg.caching = core::CachingMode::kNone;
+  core::PimKdTree tree(cfg, gen_uniform({.n = 150, .dim = 2, .seed = 8}));
+  ManagerConfig mc;
+  mc.dir = dir.file("d");
+  {
+    std::unique_ptr<Manager> mgr;
+    ASSERT_TRUE(Manager::create(mc, tree, mgr).ok());
+    apply_and_log(tree, *mgr, gen_uniform({.n = 6, .dim = 2, .seed = 80}), {});
+    ASSERT_TRUE(mgr->sync().ok());
+  }
+  const std::string wal = Manager::wal_path(mc.dir, 1);
+
+  // Frame seq 2, hand-encoded in the retired layout: kind u8 = 1, seq u64,
+  // epoch u64, mode u8, framed under the WAL frame tag (0x11).
+  std::vector<std::uint8_t> bytes = slurp(wal);
+  ByteWriter body;
+  body.u8(1);
+  body.u64(2);
+  body.u64(tree.mutation_epoch() + 1);
+  body.u8(static_cast<std::uint8_t>(core::CachingMode::kDual));
+  append_record(bytes, /*tag=*/0x11, body.bytes());
+  spit(wal, bytes);
+
+  // A regular batch frame after it, through the real writer.
+  {
+    std::unique_ptr<WalWriter> w;
+    ASSERT_TRUE(WalWriter::open(wal, 2, bytes.size(), nullptr, w).ok());
+    WalFrame f;
+    f.seq = 3;
+    f.epoch = tree.mutation_epoch() + 2;
+    f.base_point_id = tree.next_point_id();
+    f.inserts = {pt(0.25, 0.75)};
+    ASSERT_TRUE(w->append(f).ok());
+    ASSERT_TRUE(w->sync().ok());
+  }
+  const std::size_t len = slurp(wal).size();
+
+  RecoveryResult rec;
+  const Status s = Manager::recover_from(mc.dir, rec);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code, StatusCode::kDataLoss);
+  EXPECT_NE(s.message.find("caching-mode switch frame (seq 2)"),
+            std::string::npos)
+      << s.message;
+  EXPECT_EQ(rec.tree, nullptr);
+  EXPECT_EQ(slurp(wal).size(), len) << "recovery must not truncate the log";
 }
 
 // --- Scheduler integration: acked => durable -----------------------------------

@@ -1,16 +1,10 @@
-// Online caching-mode switches (PimKdTree::set_caching_mode) and the
-// AdaptiveReplicationController:
+// The Figure-2 caching modes (PimKdConfig::caching, fixed at construction):
 //   * query results are byte-identical across the four CachingModes — the
 //     modes move copies, never answers;
-//   * a mid-stream switch leaves the distributed state (and the storage
-//     ledger) exactly where a fresh build under the target mode lands, bumps
-//     the query-visible mutation_epoch, and charges its communication to the
-//     ledger inside a "replication" trace span;
-//   * the controller's §5 prior ranks modes by read fraction the calibrated
-//     way, and its warm-up / hysteresis gates actually gate;
-//   * an adaptive run is thread-count-invariant: the binary re-executes
-//     itself under PIMKD_THREADS=1 and =8 and byte-compares the ledger
-//     summary and the JSONL trace (same pattern as test_determinism).
+//   * a read/churn stream under each non-default mode (kNone, kTopDown,
+//     kBottomUp) is thread-count-invariant: the binary re-executes itself
+//     under PIMKD_THREADS=1 and =8 and byte-compares the ledger summary and
+//     the JSONL trace of every mode (same pattern as test_determinism).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,7 +17,6 @@
 #include <vector>
 
 #include "core/pim_kdtree.hpp"
-#include "core/replication.hpp"
 #include "util/generators.hpp"
 
 namespace {
@@ -92,184 +85,7 @@ TEST(Replication, QueryResultsIdenticalAcrossModes) {
   }
 }
 
-TEST(Replication, SwitchMatchesFreshBuildUnderTargetMode) {
-  const auto pts = gen_uniform({.n = 9000, .dim = 2, .seed = 9});
-  const auto reqs = mixed_reads(pts);
-  for (const CachingMode from : kAllModes) {
-    for (const CachingMode to : kAllModes) {
-      if (from == to) continue;
-      // Same construction + update history under both configurations: the
-      // tree *structure* never depends on the caching mode, so after the
-      // switch the distributed state must be indistinguishable.
-      PimKdTree switched(base_cfg(from),
-                         std::span<const Point>(pts.data(), 8000));
-      PimKdTree fresh(base_cfg(to), std::span<const Point>(pts.data(), 8000));
-      (void)switched.insert(std::span<const Point>(pts.data() + 8000, 1000));
-      (void)fresh.insert(std::span<const Point>(pts.data() + 8000, 1000));
-      std::vector<PointId> dead;
-      for (PointId i = 0; i < 2000; i += 5) dead.push_back(i);
-      switched.erase(dead);
-      fresh.erase(dead);
-
-      const auto rep = switched.set_caching_mode(to);
-      EXPECT_EQ(rep.from, from);
-      EXPECT_EQ(rep.to, to);
-      EXPECT_GT(rep.copies_added + rep.copies_removed, 0u);
-      EXPECT_TRUE(switched.check_invariants());
-      EXPECT_EQ(switched.storage_words(), fresh.storage_words())
-          << caching_mode_name(from) << " -> " << caching_mode_name(to);
-      EXPECT_EQ(serialize(switched.query(reqs)), serialize(fresh.query(reqs)));
-    }
-  }
-}
-
-TEST(Replication, SameModeSwitchIsFreeNoOp) {
-  const auto pts = gen_uniform({.n = 3000, .dim = 2, .seed = 4});
-  PimKdTree tree(base_cfg(CachingMode::kDual), pts);
-  const auto epoch0 = tree.mutation_epoch();
-  const auto words0 = tree.storage_words();
-  const auto comm0 = tree.metrics().snapshot().communication;
-  const auto rep = tree.set_caching_mode(CachingMode::kDual);
-  EXPECT_EQ(rep.words, 0u);
-  EXPECT_EQ(rep.copies_added, 0u);
-  EXPECT_EQ(rep.copies_removed, 0u);
-  EXPECT_EQ(tree.mutation_epoch(), epoch0);
-  EXPECT_EQ(tree.storage_words(), words0);
-  EXPECT_EQ(tree.metrics().snapshot().communication, comm0);
-}
-
-TEST(Replication, SwitchBumpsEpochAndChargesLedger) {
-  const auto pts = gen_uniform({.n = 6000, .dim = 2, .seed = 5});
-  PimKdTree tree(base_cfg(CachingMode::kNone), pts);
-  const auto epoch0 = tree.mutation_epoch();
-  const auto comm0 = tree.metrics().snapshot().communication;
-  EXPECT_EQ(tree.op_stats().words_replication, 0u);
-
-  const auto rep = tree.set_caching_mode(CachingMode::kDual);
-  EXPECT_GT(rep.words, 0u) << "shipping pair caches must cost communication";
-  EXPECT_GT(rep.copies_added, 0u);
-  EXPECT_EQ(rep.copies_removed, 0u);  // kNone holds no pair caches to drop
-  EXPECT_EQ(tree.mutation_epoch(), epoch0 + 1);
-  EXPECT_EQ(tree.metrics().snapshot().communication - comm0, rep.words);
-  EXPECT_EQ(tree.op_stats().words_replication, rep.words);
-
-  // Dropping caches (kDual -> kNone) removes copies without shipping them.
-  const auto back = tree.set_caching_mode(CachingMode::kNone);
-  EXPECT_GT(back.copies_removed, 0u);
-  EXPECT_EQ(back.copies_added, 0u);
-  EXPECT_EQ(tree.mutation_epoch(), epoch0 + 2);
-}
-
-TEST(Replication, TraceEmitsReplicationSpanWithComm) {
-  const auto pts = gen_uniform({.n = 4000, .dim = 2, .seed = 6});
-  const std::string path = ::testing::TempDir() + "pimkd_replication.jsonl";
-  std::uint64_t words = 0;
-  {
-    auto cfg = base_cfg(CachingMode::kNone);
-    cfg.trace_path = path;
-    PimKdTree tree(cfg, pts);
-    words = tree.set_caching_mode(CachingMode::kTopDown).words;
-  }
-  ASSERT_GT(words, 0u);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line, span;
-  while (std::getline(in, line))
-    if (line.find("\"type\":\"span\"") != std::string::npos &&
-        line.find("\"label\":\"replication\"") != std::string::npos)
-      span = line;
-  ASSERT_FALSE(span.empty()) << "no replication span in trace";
-  EXPECT_NE(span.find("\"comm\":" + std::to_string(words)), std::string::npos)
-      << "span should charge the re-replication words: " << span;
-  std::remove(path.c_str());
-}
-
-// --- Controller ---------------------------------------------------------------
-
-TEST(ReplicationController, PriorRanksModesByReadFraction) {
-  const auto pts = gen_uniform({.n = 8000, .dim = 2, .seed = 7});
-  PimKdTree tree(base_cfg(CachingMode::kDual), pts);
-  AdaptiveReplicationController ctl(tree);
-  auto argmin = [](const std::array<double, 4>& c) {
-    std::size_t best = 0;
-    for (std::size_t m = 1; m < 4; ++m)
-      if (c[m] < c[best]) best = m;
-    return static_cast<CachingMode>(best);
-  };
-  // Pure reads: both cached directions pay off; dual is cheapest.
-  EXPECT_EQ(argmin(ctl.predict(1.0, 1.0)), CachingMode::kDual);
-  // Read-heavy but not pure: top-down's cheaper write upkeep wins over dual
-  // (bottom-up chains save almost nothing for batched push-pull kNN).
-  EXPECT_EQ(argmin(ctl.predict(0.95, 1.0)), CachingMode::kTopDown);
-  // Write-dominated: every replica is upkeep; no caching is cheapest.
-  EXPECT_EQ(argmin(ctl.predict(0.0, 1.0)), CachingMode::kNone);
-  EXPECT_EQ(argmin(ctl.predict(0.25, 1.0)), CachingMode::kNone);
-}
-
-TEST(ReplicationController, WarmupAndHysteresisGateSwitches) {
-  const auto pts = gen_uniform({.n = 6000, .dim = 2, .seed = 8});
-  {
-    // Not warm: min_ops not yet sampled — no switch no matter the mix.
-    PimKdTree tree(base_cfg(CachingMode::kNone), pts);
-    ReplicationConfig rc;
-    rc.min_ops = 1'000'000;
-    AdaptiveReplicationController ctl(tree, rc);
-    const auto d = ctl.on_epoch(10'000, 0);
-    EXPECT_FALSE(d.switched);
-    EXPECT_EQ(ctl.mode(), CachingMode::kNone);
-  }
-  {
-    // Infinite hysteresis: predictions can never clear the bar.
-    PimKdTree tree(base_cfg(CachingMode::kNone), pts);
-    ReplicationConfig rc;
-    rc.hysteresis = 1e9;
-    AdaptiveReplicationController ctl(tree, rc);
-    for (int e = 0; e < 8; ++e) EXPECT_FALSE(ctl.on_epoch(1000, 0).switched);
-    EXPECT_EQ(ctl.switches(), 0u);
-  }
-  {
-    // Defaults + a persistently read-only stream: the controller must leave
-    // kNone, charge the switch, and report it in the decision.
-    PimKdTree tree(base_cfg(CachingMode::kNone), pts);
-    AdaptiveReplicationController ctl(tree);
-    bool switched = false;
-    std::uint64_t switch_words = 0;
-    for (int e = 0; e < 8 && !switched; ++e) {
-      const auto d = ctl.on_epoch(1000, 0);
-      switched = d.switched;
-      switch_words = d.switch_words;
-    }
-    ASSERT_TRUE(switched);
-    EXPECT_GT(switch_words, 0u);
-    EXPECT_NE(ctl.mode(), CachingMode::kNone);
-    EXPECT_EQ(ctl.mode(), ctl.last_decision().chosen);
-    EXPECT_EQ(ctl.switches(), 1u);
-    EXPECT_EQ(tree.op_stats().words_replication, switch_words);
-  }
-}
-
-TEST(ReplicationController, MinEpochGapSpacesSwitches) {
-  const auto pts = gen_uniform({.n = 6000, .dim = 2, .seed = 12});
-  PimKdTree tree(base_cfg(CachingMode::kNone), pts);
-  ReplicationConfig rc;
-  rc.hysteresis = 1.0;  // greedy: only the gap rate-limits
-  rc.min_epoch_gap = 4;
-  rc.min_ops = 1;
-  rc.ewma = 1.0;  // track the instantaneous mix, no smoothing
-  AdaptiveReplicationController ctl(tree, rc);
-  ASSERT_TRUE(ctl.on_epoch(1000, 0).switched);  // reads: leave kNone
-  const auto first_switch_epoch = ctl.epochs();
-  // Flip to pure writes: kNone is optimal again, but the gap holds the
-  // controller in place until min_epoch_gap epochs have passed.
-  std::uint64_t second_switch_epoch = 0;
-  for (int e = 0; e < 10 && second_switch_epoch == 0; ++e)
-    if (ctl.on_epoch(0, 1000).switched) second_switch_epoch = ctl.epochs();
-  ASSERT_NE(second_switch_epoch, 0u);
-  EXPECT_GE(second_switch_epoch - first_switch_epoch, rc.min_epoch_gap);
-  EXPECT_EQ(ctl.mode(), CachingMode::kNone);
-}
-
-// --- Cross-thread-count determinism of an adaptive run ------------------------
+// --- Cross-thread-count determinism of the non-default modes ------------------
 
 std::string self_exe() {
   char buf[4096];
@@ -279,10 +95,17 @@ std::string self_exe() {
   return std::string(buf);
 }
 
+const CachingMode kStaticModes[] = {CachingMode::kNone, CachingMode::kTopDown,
+                                    CachingMode::kBottomUp};
+
+std::string trace_file(const std::string& prefix, CachingMode mode) {
+  return prefix + "_" + caching_mode_name(mode) + ".jsonl";
+}
+
 std::string run_child(const std::string& exe, int threads,
-                      const std::string& trace_path) {
+                      const std::string& trace_prefix) {
   const std::string cmd = "PIMKD_THREADS=" + std::to_string(threads) + " '" +
-                          exe + "' --replication-child '" + trace_path + "'";
+                          exe + "' --replication-child '" + trace_prefix + "'";
   std::FILE* p = popen(cmd.c_str(), "r");
   if (!p) return {};
   std::string out;
@@ -300,68 +123,68 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-TEST(ReplicationThreadCountDeterminism, AdaptiveRunIdenticalAcrossThreads) {
+TEST(ReplicationThreadCountDeterminism, StaticModesIdenticalAcrossThreads) {
   const std::string exe = self_exe();
   ASSERT_FALSE(exe.empty());
   const std::string dir = ::testing::TempDir();
-  const std::string t1 = dir + "pimkd_rep_t1.jsonl";
-  const std::string t8 = dir + "pimkd_rep_t8.jsonl";
+  const std::string t1 = dir + "pimkd_rep_t1";
+  const std::string t8 = dir + "pimkd_rep_t8";
   const std::string out1 = run_child(exe, 1, t1);
   const std::string out8 = run_child(exe, 8, t8);
   ASSERT_FALSE(out1.empty());
-  EXPECT_EQ(out1, out8) << "adaptive run diverged across thread counts";
-  const std::string trace1 = slurp(t1);
-  const std::string trace8 = slurp(t8);
-  ASSERT_FALSE(trace1.empty());
-  EXPECT_EQ(trace1, trace8) << "JSONL traces diverged across thread counts";
-  std::remove(t1.c_str());
-  std::remove(t8.c_str());
+  EXPECT_EQ(out1, out8) << "mode runs diverged across thread counts";
+  for (const CachingMode mode : kStaticModes) {
+    const std::string trace1 = slurp(trace_file(t1, mode));
+    const std::string trace8 = slurp(trace_file(t8, mode));
+    ASSERT_FALSE(trace1.empty()) << caching_mode_name(mode);
+    EXPECT_EQ(trace1, trace8)
+        << "JSONL traces diverged across thread counts under mode "
+        << caching_mode_name(mode);
+    std::remove(trace_file(t1, mode).c_str());
+    std::remove(trace_file(t8, mode).c_str());
+  }
 }
 
-// Adaptive workload: epochs of batched reads (via PimKdTree::query) and
-// insert/erase churn, with the controller free to switch modes. Prints every
-// quantity that must be thread-count-invariant, including the controller's
-// decisions themselves (they read the per-module comm ledger).
-int replication_child(const char* trace_path) {
-  auto cfg = base_cfg(CachingMode::kNone, 32);
-  cfg.trace_path = trace_path;
+// One workload per non-default mode: epochs of batched reads (via
+// PimKdTree::query) and insert/erase churn, the mix drifting from
+// read-heavy to write-heavy mid-stream. Prints every quantity that must be
+// thread-count-invariant.
+int replication_child(const char* trace_prefix) {
   const auto pts = gen_uniform({.n = 16000, .dim = 2, .seed = 21});
-  PimKdTree tree(cfg, std::span<const Point>(pts.data(), 10000));
-  AdaptiveReplicationController ctl(tree);
-  std::size_t next = 10000;
-  std::vector<PointId> prev;
-  std::uint64_t qh = 0;
-  for (int e = 0; e < 12; ++e) {
-    const bool read_heavy = e < 6;  // drift the mix mid-stream
-    const std::size_t reads = read_heavy ? 300 : 30;
-    const std::size_t writes = read_heavy ? 20 : 300;
-    std::vector<Request> reqs;
-    for (std::size_t i = 0; i < reads; ++i)
-      reqs.push_back(Request::knn(pts[(e * 61 + i) % 2000], 4));
-    for (const Response& r : tree.query(reqs))
-      for (const Neighbor& nb : r.neighbors) qh = qh * 1000003u + nb.id;
-    auto ids = tree.insert(std::span<const Point>(pts.data() + next,
-                                                  writes / 2));
-    next += writes / 2;
-    if (!prev.empty()) tree.erase(prev);
-    prev = std::move(ids);
-    const auto d = ctl.on_epoch(reads, writes);
-    std::printf("e=%d mode=%s switched=%d words=%llu\n", e,
-                caching_mode_name(d.chosen), d.switched ? 1 : 0,
-                (unsigned long long)d.switch_words);
+  for (const CachingMode mode : kStaticModes) {
+    auto cfg = base_cfg(mode, 32);
+    cfg.trace_path = trace_file(trace_prefix, mode);
+    PimKdTree tree(cfg, std::span<const Point>(pts.data(), 10000));
+    std::size_t next = 10000;
+    std::vector<PointId> prev;
+    std::uint64_t qh = 0;
+    for (int e = 0; e < 12; ++e) {
+      const bool read_heavy = e < 6;
+      const std::size_t reads = read_heavy ? 300 : 30;
+      const std::size_t writes = read_heavy ? 20 : 300;
+      std::vector<Request> reqs;
+      for (std::size_t i = 0; i < reads; ++i)
+        reqs.push_back(Request::knn(pts[(e * 61 + i) % 2000], 4));
+      for (const Response& r : tree.query(reqs))
+        for (const Neighbor& nb : r.neighbors) qh = qh * 1000003u + nb.id;
+      auto ids = tree.insert(std::span<const Point>(pts.data() + next,
+                                                    writes / 2));
+      next += writes / 2;
+      if (!prev.empty()) tree.erase(prev);
+      prev = std::move(ids);
+    }
+    const auto s = tree.metrics().snapshot();
+    std::uint64_t ch = 0;
+    for (const auto c : tree.metrics().lifetime_module_comm())
+      ch = ch * 1000003u + c;
+    std::printf("mode=%s comm=%llu rounds=%llu storage=%llu qh=%llu "
+                "comm_hash=%llu inv=%d\n",
+                caching_mode_name(mode), (unsigned long long)s.communication,
+                (unsigned long long)s.rounds,
+                (unsigned long long)tree.storage_words(),
+                (unsigned long long)qh, (unsigned long long)ch,
+                tree.check_invariants() ? 1 : 0);
   }
-  const auto s = tree.metrics().snapshot();
-  std::uint64_t ch = 0;
-  for (const auto c : tree.metrics().lifetime_module_comm())
-    ch = ch * 1000003u + c;
-  std::printf("comm=%llu rounds=%llu storage=%llu rep_words=%llu qh=%llu "
-              "comm_hash=%llu switches=%llu inv=%d\n",
-              (unsigned long long)s.communication, (unsigned long long)s.rounds,
-              (unsigned long long)tree.storage_words(),
-              (unsigned long long)tree.op_stats().words_replication,
-              (unsigned long long)qh, (unsigned long long)ch,
-              (unsigned long long)ctl.switches(),
-              tree.check_invariants() ? 1 : 0);
   return 0;
 }
 

@@ -640,22 +640,6 @@ TEST(Frontend, FanoutCountersMatchParent) {
   }
 }
 
-TEST(FrontendConfigValidation, TradeoffPolicyIsANamedFieldError) {
-  const auto initial = gen_uniform({.n = 200, .dim = 2, .seed = 94});
-  Router router(router_cfg(2), initial);
-  FrontendConfig fc;
-  fc.policy = serve::Policy::kTradeoff;
-  try {
-    Frontend fe(router, fc);
-    FAIL() << "kTradeoff was accepted";
-  } catch (const std::invalid_argument& ex) {
-    EXPECT_EQ(std::string(ex.what()).rfind("FrontendConfig.policy:", 0), 0u)
-        << ex.what();
-  }
-  fc.policy = serve::Policy::kDeadline;
-  EXPECT_NO_THROW({ Frontend ok(router, fc); });
-}
-
 TEST(Frontend, CompletionClockStampsAfterExecution) {
   // A stepping fake clock: every read advances it, so the completion stamp,
   // read after the epoch executes, lands past the dispatch tick and the

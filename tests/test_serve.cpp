@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +25,6 @@
 #include "pim/status.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -376,109 +374,6 @@ TEST(Scheduler, InsertIdsRoundTrip) {
   EXPECT_EQ(rq.neighbors[0].id, 100u);
 }
 
-TEST(Scheduler, TradeoffPolicyTargetsTheoryOptimum) {
-  // S* = n / 2^(G + log^(G) P): the smallest batch at which Theorem 5.1's
-  // per-query communication floor is reached (DESIGN.md §8).
-  auto cfg = small_cfg(64);
-  const std::size_t P = 64;
-  const int logstar = log_star2(double(P));
-  const int G = cfg.cached_groups < 0 ? logstar
-                                      : std::min(cfg.cached_groups, logstar);
-  const double hops = double(G) + ilog2(double(P), G);
-  const std::size_t n = 1u << 15;
-  const auto expect =
-      static_cast<std::size_t>(std::max(1.0, double(n) / std::pow(2.0, hops)));
-
-  EXPECT_EQ(BatchScheduler::tradeoff_target(cfg, P, n, 1, 1u << 20), expect);
-  // Clamps: never below the configured floor or above the cap.
-  EXPECT_EQ(BatchScheduler::tradeoff_target(cfg, P, n, expect + 100, 1u << 20),
-            expect + 100);
-  EXPECT_EQ(BatchScheduler::tradeoff_target(cfg, P, n, 1, expect - 100),
-            expect - 100);
-  // Monotone in n: bigger trees want bigger batches.
-  EXPECT_GE(BatchScheduler::tradeoff_target(cfg, P, 4 * n, 1, 1u << 20),
-            expect);
-
-  // And the live scheduler reports it.
-  const auto pts = gen_uniform({.n = n, .dim = 2, .seed = 9});
-  core::PimKdTree tree(cfg, pts);
-  SchedulerConfig sc;
-  sc.policy = Policy::kTradeoff;
-  sc.batch_size = 1;
-  sc.max_batch = 1u << 20;
-  BatchScheduler sched(tree, sc);
-  EXPECT_EQ(sched.target_batch_size(), expect);
-}
-
-TEST(Scheduler, AdaptivePolicyRunsControllerAtEpochBoundaries) {
-  auto cfg = small_cfg(16);
-  cfg.caching = core::CachingMode::kNone;  // wrong for a read-only stream
-  const auto pts = gen_uniform({.n = 4000, .dim = 2, .seed = 17});
-  core::PimKdTree tree(cfg, pts);
-  SchedulerConfig sc;
-  sc.policy = Policy::kTradeoff;
-  sc.controllers.replication = true;
-  sc.deadline_ticks = 1;  // dispatch everything pending at each pump
-  BatchScheduler sched(tree, sc);
-  ASSERT_NE(sched.replication_controller(), nullptr);
-
-  std::vector<std::future<Response>> futs;
-  std::uint64_t tick = 0;
-  for (int e = 0; e < 6; ++e) {
-    for (int i = 0; i < 120; ++i)
-      futs.push_back(sched.submit(Request::knn(pts[(e * 120 + i) % 4000], 4),
-                                  tick));
-    tick += 10;
-    sched.pump(tick);
-  }
-  sched.stop();
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-
-  // A persistently read-only stream must have pulled the tree out of kNone,
-  // flagged the switch in the stats and in exactly that batch's log entry.
-  const ServeStats st = sched.stats();
-  EXPECT_GE(st.mode_switches, 1u);
-  EXPECT_NE(tree.config().caching, core::CachingMode::kNone);
-  EXPECT_EQ(sched.replication_controller()->switches(), st.mode_switches);
-  std::uint64_t flagged = 0;
-  for (const BatchLog& b : sched.batch_log())
-    if (b.mode_switch) ++flagged;
-  EXPECT_EQ(flagged, st.mode_switches);
-  EXPECT_GT(tree.op_stats().words_replication, 0u);
-
-  // Non-adaptive policies never instantiate a controller.
-  core::PimKdTree plain(small_cfg(), pts);
-  SchedulerConfig sc2;
-  sc2.policy = Policy::kTradeoff;
-  BatchScheduler sched2(plain, sc2);
-  EXPECT_EQ(sched2.replication_controller(), nullptr);
-}
-
-TEST(Scheduler, TryCreateMirrorsValidate) {
-  // Status twin of the constructor (DESIGN.md §9.5): a bad controller config
-  // throws from validate() and comes back from try_create as
-  // kInvalidArgument naming the field, with no scheduler built.
-  const auto pts = gen_uniform({.n = 1000, .dim = 2, .seed = 10});
-  core::PimKdTree tree(small_cfg(8), pts);
-
-  SchedulerConfig bad;
-  bad.controllers.replication = true;
-  bad.controllers.replication_cfg.hysteresis = 0.5;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  std::unique_ptr<BatchScheduler> out;
-  const Status s = BatchScheduler::try_create(tree, bad, out);
-  EXPECT_EQ(s.code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(out, nullptr);
-  EXPECT_NE(s.message.find("hysteresis"), std::string::npos) << s.message;
-
-  SchedulerConfig good;
-  good.controllers.replication = true;
-  ASSERT_TRUE(BatchScheduler::try_create(tree, good, out).ok());
-  ASSERT_NE(out, nullptr);
-  EXPECT_NE(out->replication_controller(), nullptr);
-  out->stop();
-}
-
 TEST(Scheduler, ConcurrentProducersAllServed) {
   auto cfg = small_cfg();
   const auto pts = gen_uniform({.n = 1024, .dim = 2, .seed = 10});
@@ -644,7 +539,7 @@ TEST(ServeDeterminism, ShardedWorkloadInvariantAcrossThreadCounts) {
 }
 
 // Full pipeline at fixed submission order and virtual ticks: every op kind,
-// a Zipfian key stream, and the tradeoff policy with a deadline fallback.
+// a Zipfian key stream, and the fixed-size policy with a deadline fallback.
 // Prints the batch log, a result hash (payloads AND ticks), the ledger hash
 // and a hash of the execution trace file — all of which must be invariant
 // under PIMKD_THREADS.
@@ -683,7 +578,7 @@ int serve_child() {
     core::PimKdTree tree(cfg, w.initial);
 
     SchedulerConfig sc;
-    sc.policy = Policy::kTradeoff;
+    sc.policy = Policy::kFixedSize;
     sc.batch_size = 32;
     sc.max_batch = 512;
     sc.deadline_ticks = 200;
